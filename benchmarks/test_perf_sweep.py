@@ -19,8 +19,12 @@ and (c) per-cell telemetry capture costing at most
 core-gated: on an oversubscribed core, scheduling noise dwarfs capture).
 
 Every run archives ``results/BENCH_sweep.json`` so ``repro bench
-snapshot`` folds the farm numbers into the trajectory.  The speedup
-guard is marked ``perf`` so it can be selected alone with ``-m perf``.
+snapshot`` folds the farm numbers into the trajectory.  A machine with
+fewer cores than :data:`PARALLEL_JOBS` cannot measure the parallel
+speedup, so the archive then records ``"speedup": null`` with a
+``"speedup_reason"`` instead of a ratio that only measures the
+oversubscription.  The speedup guard is marked ``perf`` so it can be
+selected alone with ``-m perf``.
 """
 
 from __future__ import annotations
@@ -77,9 +81,20 @@ def farm_rows(tmp_path_factory):
     captured, captured_seconds = timed_pass(
         GRID, PARALLEL_JOBS, captured_cache, capture=True
     )
+    cores = available_cores()
+    if cores < PARALLEL_JOBS:
+        speedup_fields: dict[str, float | str | None] = {
+            "speedup": None,
+            "speedup_reason": (
+                f"{cores} core(s) < jobs={PARALLEL_JOBS}: the parallel pass "
+                "is oversubscribed, so its ratio to jobs=1 is not a speedup"
+            ),
+        }
+    else:
+        speedup_fields = {"speedup": serial_seconds / parallel_seconds}
     return {
         "cells_total": len(serial),
-        "cores": available_cores(),
+        "cores": cores,
         "serial": {"jobs": 1, "seconds": serial_seconds,
                    "executed": serial.executed},
         "parallel": {"jobs": PARALLEL_JOBS, "seconds": parallel_seconds,
@@ -90,7 +105,7 @@ def farm_rows(tmp_path_factory):
         "capture": {"jobs": PARALLEL_JOBS, "seconds": captured_seconds,
                     "executed": captured.executed,
                     "overhead": captured_seconds / parallel_seconds},
-        "speedup": serial_seconds / parallel_seconds,
+        **speedup_fields,
         "rerun_speedup": serial_seconds / warm_seconds,
     }
 
@@ -107,12 +122,13 @@ def test_benchmark_sweep_archives_results(farm_rows):
     (RESULTS_DIR / "BENCH_sweep.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
+    speedup = farm_rows["speedup"]
     print()
     print(
         f"{farm_rows['cells_total']} cells on {farm_rows['cores']} core(s): "
         f"jobs=1 {farm_rows['serial']['seconds']:.2f}s, "
         f"jobs={PARALLEL_JOBS} {farm_rows['parallel']['seconds']:.2f}s "
-        f"({farm_rows['speedup']:.2f}x), warm re-run "
+        f"({'unmeasured' if speedup is None else f'{speedup:.2f}x'}), warm re-run "
         f"{farm_rows['warm']['seconds']:.3f}s "
         f"({farm_rows['rerun_speedup']:.0f}x), capture-on "
         f"{farm_rows['capture']['seconds']:.2f}s "
@@ -122,6 +138,8 @@ def test_benchmark_sweep_archives_results(farm_rows):
     assert farm_rows["serial"]["executed"] == farm_rows["cells_total"]
     assert farm_rows["parallel"]["executed"] == farm_rows["cells_total"]
     assert farm_rows["capture"]["executed"] == farm_rows["cells_total"]
+    if farm_rows["cores"] < PARALLEL_JOBS:
+        assert speedup is None and farm_rows["speedup_reason"]
 
 
 def test_warm_rerun_is_all_hits(farm_rows):

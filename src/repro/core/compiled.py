@@ -3,11 +3,14 @@
 The reference engine walks Python dicts per flow/node/link; at Table 2
 scale that is thousands of interpreter round trips per iteration.  This
 module lowers a frozen :class:`~repro.model.problem.Problem` into numpy
-arrays once (:func:`compile_problem`) and then runs every LRGP iteration
-as batched array ops (:class:`VectorizedEngine`):
+arrays once (:func:`compile_problem`) — the link/flow and node/flow
+incidence as COO-style index triples, so memory and per-iteration cost
+scale with the incidence *nonzeros* (a flow touches only the links and
+nodes on its route) and 1k+ flows over 10k+ links stay cheap — and then
+runs every LRGP iteration as batched array ops (:class:`VectorizedEngine`):
 
-* **Rate allocation** (Algorithm 1, eq. 7-9) — aggregate path prices over
-  the link/flow and node/flow incidence structure, then a batched
+* **Rate allocation** (Algorithm 1, eq. 7-9) — aggregate path prices with
+  ``np.bincount`` scatter-adds over the incidence triples, then a batched
   closed-form argmax per utility family: all-log flows via
   ``sum(n*scale)/price - offset``, all-power flows via the collapsed
   inverse derivative.  Flows whose classes mix shapes (or use a shape with
@@ -15,44 +18,26 @@ as batched array ops (:class:`VectorizedEngine`):
   *fallback column* — which matches the reference root finder within its
   tolerance.
 * **Consumer allocation** (Algorithm 2, eq. 10-11) — benefit/cost ratios
-  for all classes at once, then a *per-node bucketed partial sort*: nodes
-  whose budget covers every class admit them all without sorting, and
-  contended nodes pop classes off a max-heap (descending ratio, ties by
-  class id — exactly the reference order) only until the budget is spent,
-  so admission work is near-linear in the number of admitted classes.
-  The fill runs over plain Python floats so admission counts match the
-  reference bit for bit.
-* **Price updates** (eq. 12-13) — scalar updates mirroring the reference
-  controllers exactly, including the adaptive-gamma heuristic.  The node
-  and link axes are small relative to the class axis, so plain Python
-  beats numpy's per-op overhead there; the flow and class axes — where
-  Table 2 scales — are the vectorized ones.
+  for all classes at once.  Nodes whose budget covers every class admit
+  them all without ordering anything.  The chargeable classes of the
+  remaining (contended) nodes are put in the reference order — node, then
+  descending ratio, ties by class id — by *one* ``np.lexsort`` per
+  iteration, and each node's greedy fill folds its budget over plain
+  Python floats with the reference's flooring, leaving the node as soon
+  as the budget cannot admit one consumer of the cheapest class still
+  ahead.  Zero-cost classes, the covered nodes' need and ``BC(b,t)`` are
+  array reductions.
+* **Price updates** (eq. 12-13) — eq. 13 is one array expression over all
+  bottleneck links; eq. 12 with the adaptive-gamma heuristic stays a
+  scalar loop over the short node axis, where it costs less than the
+  numpy calls a masked version needs at paper scale.
 
-Two lowered *layouts* share one compiled form:
-
-* **dense** — the link/flow and node/flow incidence as dense matrices
-  (``link_cost``, ``flow_node_cost``), prices and usages as matrix
-  products.  Memory and per-iteration cost are ``O(n_links*n_flows +
-  n_nodes*n_flows)`` — fine at paper scale, quadratic death at
-  datacenter scale.
-* **sparse** — the same incidence as COO-style index arrays
-  (``ln_link``/``ln_flow``/``ln_cost`` and ``fn_node``/``fn_flow``/
-  ``fn_cost``), prices and usages as ``np.bincount`` scatter-adds.
-  Memory and per-iteration cost scale with the number of incidence
-  *nonzeros* — a flow touches only the links and nodes on its route —
-  so 1k+ flows over 10k+ links stay cheap.  The dense matrices are
-  materialized lazily only if something asks for them.
-
-:class:`VectorizedEngine` picks the layout per problem (``layout="auto"``
-switches to sparse at :data:`SPARSE_MIN_FLOWS` flows, the measured
-crossover in ``benchmarks/results/BENCH_engines.json``); ``"dense"`` and
-``"sparse"`` force it, and the registry exposes all three as
-``"vectorized"`` / ``"vectorized-dense"`` / ``"vectorized-sparse"``.
-
-The engine is validated against the reference trajectory within
-:data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL` at every iteration
-in *both* layouts (``tests/core/test_engines.py``); the speedup and the
-dense/sparse crossover are tracked in ``benchmarks/test_perf_engines.py``.
+Every step keeps the reference arithmetic operation for operation, so
+admission counts match the reference exactly and the trajectory matches
+it within :data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL` at every
+iteration (``tests/core/test_engines.py``); the speedup over the
+reference and the 1k-flow step time are guarded in
+``benchmarks/test_perf_engines.py``.
 
 Scope notes: the node axis of the lowered arrays covers *consumer* nodes
 (the only nodes carrying prices) and the link axis covers *finite-capacity*
@@ -62,10 +47,8 @@ reference driver instantiates.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,19 +78,6 @@ IntArray = NDArray[np.int64]
 FAMILY_LOG = 0
 FAMILY_POW = 1
 FAMILY_GENERIC = 2
-
-#: The lowered layouts :class:`VectorizedEngine` accepts.
-LAYOUTS = ("auto", "dense", "sparse")
-
-#: Smallest flow count at which ``layout="auto"`` picks the sparse layout.
-#: Measured crossover (``benchmarks/results/BENCH_engines.json``,
-#: ``"layout"`` section): below it the incidence matrices are small enough
-#: that one BLAS matmul ties or beats three bincount scatter-adds (ratios
-#: 0.94-1.05x up to ~64 flows); from ~128 flows the dense products touch
-#: mostly-zero cells and the sparse layout wins on time (1.2x at 1k flows
-#: over a 10k-link fabric) and decisively on memory (the 1k-flow leaf-spine
-#: incidence is ~290x smaller sparse than dense).
-SPARSE_MIN_FLOWS = 128
 
 #: Bisection tolerances for the fallback column, matching the reference
 #: root finder (``repro.utility.calculus``).
@@ -149,11 +119,9 @@ class CompiledProblem:
     ``class_fn_index`` points each class at its node/flow cell in the
     ``fn_*`` arrays (the class's node is always on its flow's route, so
     the cell always exists) for one-pass scatter-add of the
-    population-dependent eq. 9 coefficients.  The dense matrices
-    (:attr:`link_cost`, :attr:`flow_node_cost`) and the dense flattened
-    cell ids (``class_cell``) are materialized lazily from the sparse
-    entries for the dense layout and the test surface; a sparse-layout
-    run never allocates them.  The ``*_class_positions`` arrays pre-split
+    population-dependent eq. 9 coefficients.  No dense incidence matrix
+    is ever built: memory scales with the nonzeros, not with
+    ``n_links x n_flows``.  The ``*_class_positions`` arrays pre-split
     the class axis by utility family so the batched evaluators touch only
     the columns they understand.
     """
@@ -217,41 +185,6 @@ class CompiledProblem:
         """Stored (node, flow) incidence entries."""
         return int(self.fn_cost.size)
 
-    # -- lazily materialized dense views -----------------------------------
-
-    @cached_property
-    def link_cost(self) -> FloatArray:
-        """The dense ``L`` matrix (bottleneck links x flows), built on
-        first access from the sparse entries."""
-        dense = np.zeros((self.n_links, self.n_flows), dtype=np.float64)
-        dense[self.ln_link, self.ln_flow] = self.ln_cost
-        return dense
-
-    @cached_property
-    def flow_node_cost(self) -> FloatArray:
-        """The dense ``F`` matrix (consumer nodes x flows), built on first
-        access from the sparse entries."""
-        dense = np.zeros((self.n_nodes, self.n_flows), dtype=np.float64)
-        dense[self.fn_node, self.fn_flow] = self.fn_cost
-        return dense
-
-    @cached_property
-    def class_cell(self) -> IntArray:
-        """Flattened dense ``(node, flow)`` cell id per class (the dense
-        layout's scatter-add target)."""
-        return np.asarray(
-            self.class_node * self.n_flows + self.class_flow, dtype=np.int64
-        )
-
-    def dense_materialized(self) -> bool:
-        """Whether any dense incidence matrix has been built.
-
-        The sparse-scale memory guard asserts this stays ``False`` across
-        a sparse-layout solve — peak compiled-array memory then provably
-        scales with the incidence nonzeros.
-        """
-        return "link_cost" in self.__dict__ or "flow_node_cost" in self.__dict__
-
     def sparse_nbytes(self) -> int:
         """Bytes held by the sparse incidence entries (both axes)."""
         return int(
@@ -263,10 +196,6 @@ class CompiledProblem:
             + self.fn_cost.nbytes
             + self.class_fn_index.nbytes
         )
-
-    def dense_nbytes(self) -> int:
-        """Bytes the dense incidence matrices would occupy."""
-        return 8 * (self.n_links + self.n_nodes) * self.n_flows
 
     # -- dict <-> vector converters ---------------------------------------
 
@@ -303,56 +232,19 @@ class CompiledProblem:
         )
 
     def rates_dict(self, rates: FloatArray) -> dict[FlowId, float]:
-        return {fid: float(rates[i]) for i, fid in enumerate(self.flow_ids)}
+        return dict(zip(self.flow_ids, rates.tolist()))
 
     def populations_dict(self, populations: IntArray) -> dict[ClassId, int]:
-        return {cid: int(populations[j]) for j, cid in enumerate(self.class_ids)}
+        return dict(zip(self.class_ids, populations.tolist()))
 
-    # -- lowered accounting, dense layout ----------------------------------
-
-    def consumer_coefficients(self, populations: FloatArray) -> FloatArray:
-        """Per ``(node, flow)`` marginal footprint ``F + sum_j G_j n_j``.
-
-        The population-dependent part of the eq. 9 coefficient and of the
-        node usage (eq. 5), scatter-added over ``class_cell`` — allocates
-        the full dense node x flow grid per call (dense layout only).
-        """
-        cell = np.bincount(
-            self.class_cell,
-            weights=self.consumer_cost * populations,
-            minlength=self.n_nodes * self.n_flows,
-        ).reshape(self.n_nodes, self.n_flows)
-        return np.asarray(self.flow_node_cost + cell, dtype=np.float64)
-
-    def flow_prices(
-        self,
-        populations: FloatArray,
-        node_prices: FloatArray,
-        link_prices: FloatArray,
-    ) -> FloatArray:
-        """``PL_i + PB_i`` for every flow at once (eq. 8-9), dense layout."""
-        pl = link_prices @ self.link_cost
-        pb = node_prices @ self.consumer_coefficients(populations)
-        return np.asarray(pl + pb, dtype=np.float64)
-
-    def link_usages(self, rates: FloatArray) -> FloatArray:
-        """LHS of eq. 4 for every bottleneck link: ``L @ r``, dense layout."""
-        return np.asarray(self.link_cost @ rates, dtype=np.float64)
-
-    def node_usages(self, rates: FloatArray, populations: FloatArray) -> FloatArray:
-        """LHS of eq. 5 for every consumer node, dense layout."""
-        return np.asarray(
-            self.consumer_coefficients(populations) @ rates, dtype=np.float64
-        )
-
-    # -- lowered accounting, sparse layout ---------------------------------
+    # -- lowered accounting ----------------------------------------------
 
     def cell_coefficients(self, populations: FloatArray) -> FloatArray:
         """Eq. 9 coefficients ``F + sum_j G_j n_j`` per *stored* cell.
 
-        The sparse counterpart of :meth:`consumer_coefficients`: one entry
-        per ``fn_*`` incidence pair instead of the full node x flow grid.
-        Every class scatter-adds into its own cell via ``class_fn_index``.
+        One entry per ``fn_*`` incidence pair, never the full node x flow
+        grid.  Every class scatter-adds into its own cell via
+        ``class_fn_index``.
         """
         return np.asarray(
             self.fn_cost
@@ -364,26 +256,37 @@ class CompiledProblem:
             dtype=np.float64,
         )
 
-    def flow_prices_sparse(
+    def flow_prices(
         self,
         populations: FloatArray,
         node_prices: FloatArray,
         link_prices: FloatArray,
     ) -> FloatArray:
-        """``PL_i + PB_i`` for every flow (eq. 8-9) via scatter-adds."""
+        """``PL_i + PB_i`` for every flow (eq. 8-9) via scatter-adds.
+
+        Without bottleneck links ``PL`` is all zeros, and ``0.0 + PB_i`` is
+        ``PB_i`` exactly (a scatter-add never yields ``-0.0``), so the link
+        term is skipped.
+        """
+        pb = np.asarray(
+            np.bincount(
+                self.fn_flow,
+                weights=node_prices[self.fn_node]
+                * self.cell_coefficients(populations),
+                minlength=self.n_flows,
+            ),
+            dtype=np.float64,
+        )
+        if not self.nnz_link:
+            return pb
         pl = np.bincount(
             self.ln_flow,
             weights=link_prices[self.ln_link] * self.ln_cost,
             minlength=self.n_flows,
         )
-        pb = np.bincount(
-            self.fn_flow,
-            weights=node_prices[self.fn_node] * self.cell_coefficients(populations),
-            minlength=self.n_flows,
-        )
         return np.asarray(pl + pb, dtype=np.float64)
 
-    def link_usages_sparse(self, rates: FloatArray) -> FloatArray:
+    def link_usages(self, rates: FloatArray) -> FloatArray:
         """LHS of eq. 4 for every bottleneck link via scatter-adds."""
         return np.asarray(
             np.bincount(
@@ -394,7 +297,7 @@ class CompiledProblem:
             dtype=np.float64,
         )
 
-    def node_usages_sparse(
+    def node_usages(
         self, rates: FloatArray, populations: FloatArray
     ) -> FloatArray:
         """LHS of eq. 5 for every consumer node via scatter-adds."""
@@ -407,7 +310,7 @@ class CompiledProblem:
             dtype=np.float64,
         )
 
-    def node_flow_costs_sparse(self, rates: FloatArray) -> FloatArray:
+    def node_flow_costs(self, rates: FloatArray) -> FloatArray:
         """Per-node consumer-independent flow cost ``sum_i F_{b,i} r_i``."""
         return np.asarray(
             np.bincount(
@@ -417,8 +320,6 @@ class CompiledProblem:
             ),
             dtype=np.float64,
         )
-
-    # -- layout-independent accounting -------------------------------------
 
     def class_values(self, rates: FloatArray) -> FloatArray:
         """``U_j(r_{flowMap(j)})`` for every class (batched by family)."""
@@ -460,9 +361,9 @@ def compile_problem(problem: Problem) -> CompiledProblem:
     """Lower ``problem`` into a :class:`CompiledProblem`.
 
     Pure indexing and coefficient gathering — no optimizer state, and no
-    dense incidence allocation (memory here is ``O(nonzeros + classes)``;
-    the dense matrices build lazily only when asked for).  The result is
-    immutable and reusable across engines bound to the same problem.
+    dense incidence allocation (memory here is ``O(nonzeros + classes)``).
+    The result is immutable and reusable across engines bound to the same
+    problem.
     """
     flow_ids = tuple(sorted(problem.flows))
     node_ids = problem.consumer_nodes()
@@ -623,31 +524,19 @@ class VectorizedEngine(LRGPEngine):
     subclass must use the reference engine (the constructor fails loudly
     rather than silently diverging from the configured behavior).
 
-    ``layout`` selects the lowered incidence representation: ``"dense"``
-    (matrix products), ``"sparse"`` (bincount scatter-adds over the COO
-    entries), or ``"auto"`` (sparse from :data:`SPARSE_MIN_FLOWS` flows,
-    the measured crossover).  Both layouts produce trajectories
-    bit-identical to each other and to the reference engine within the
-    pinned tolerance — the layout is a performance choice, never a
-    semantic one.
+    Rates, populations and link prices live in numpy arrays across steps;
+    the node controllers' state lives in plain lists, since eq. 12 runs as
+    a scalar loop.  The accessors convert to dicts of Python ``int`` /
+    ``float`` values, so results serialize exactly like the reference's.
     """
 
     name = "vectorized"
 
-    def __init__(
-        self,
-        problem: Problem,
-        config: "LRGPConfig",
-        layout: str = "auto",
-    ) -> None:
+    def __init__(self, problem: Problem, config: "LRGPConfig") -> None:
         if config.admission is not allocate_consumers:
             raise ValueError(
                 "the vectorized engine implements the paper's greedy admission "
                 "only; use engine='reference' for custom admission strategies"
-            )
-        if layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown layout {layout!r}; expected one of {', '.join(LAYOUTS)}"
             )
         proto = config.node_gamma
         if type(proto) is FixedGamma:
@@ -675,9 +564,6 @@ class VectorizedEngine(LRGPEngine):
         _validate_initial_price(config.initial_node_price, "initial node price")
         _validate_initial_price(config.initial_link_price, "initial link price")
         self._config = config
-        self._layout = layout
-        if layout != "auto":
-            self.name = f"vectorized-{layout}"
         self._compiled: CompiledProblem | None = None
         self._node_probes: list["PriceProbe | None"] = []
         self._link_probes: list["PriceProbe | None"] = []
@@ -696,25 +582,17 @@ class VectorizedEngine(LRGPEngine):
             raise RuntimeError("engine is not bound to a problem")
         return self._compiled
 
-    @property
-    def sparse(self) -> bool:
-        """Whether the current binding runs the sparse layout."""
-        return self._sparse
-
     def rates(self) -> dict[FlowId, float]:
         return self.compiled.rates_dict(self._rates)
 
     def populations(self) -> dict[ClassId, int]:
-        return {
-            cid: self._populations[j]
-            for j, cid in enumerate(self.compiled.class_ids)
-        }
+        return self.compiled.populations_dict(self._populations)
 
     def node_prices(self) -> dict[NodeId, float]:
         return dict(zip(self.compiled.node_ids, self._node_price))
 
     def link_prices(self) -> dict[LinkId, float]:
-        return dict(zip(self.compiled.link_ids, self._link_price))
+        return dict(zip(self.compiled.link_ids, self._link_price.tolist()))
 
     def node_gammas(self) -> dict[NodeId, float]:
         return dict(zip(self.compiled.node_ids, self._gamma))
@@ -738,11 +616,14 @@ class VectorizedEngine(LRGPEngine):
                     last_delta=self._last_delta[b],
                     has_last=self._has_last[b],
                 )
-            for l, lid in enumerate(previous.link_ids):
-                old_links[lid] = (
-                    float(previous.link_capacity[l]),
-                    self._link_price[l],
+            old_links = dict(
+                zip(
+                    previous.link_ids,
+                    zip(
+                        previous.link_capacity.tolist(), self._link_price.tolist()
+                    ),
                 )
+            )
 
         # Lowering is the one compile-shaped cost of a (re)bind, so it gets
         # its own profiler phase; the reference engine has no counterpart
@@ -750,19 +631,13 @@ class VectorizedEngine(LRGPEngine):
         with self._config.telemetry.profiler.phase("lower"):
             compiled = compile_problem(problem)
         self._compiled = compiled
-        self._sparse = self._layout == "sparse" or (
-            self._layout == "auto" and compiled.n_flows >= SPARSE_MIN_FLOWS
-        )
         self._rates = compiled.rates_vector(old_rates or None)
-        self._populations: list[int] = [
-            int(n) for n in compiled.populations_vector(old_populations or None)
-        ]
+        self._populations = compiled.populations_vector(old_populations or None)
 
         config = self._config
-        n_nodes, n_links = compiled.n_nodes, compiled.n_links
-        # Node/link controller state lives in plain Python lists: the axes
-        # are short and the scalar update loops mirror the reference
-        # controllers' float arithmetic exactly.
+        n_nodes = compiled.n_nodes
+        # Node controller state stays in plain lists: eq. 12 is a scalar
+        # loop mirroring the reference controllers' float arithmetic.
         initial_node_price = float(config.initial_node_price)
         self._node_price: list[float] = [initial_node_price] * n_nodes
         self._gamma: list[float] = [self._gamma_initial] * n_nodes
@@ -777,19 +652,20 @@ class VectorizedEngine(LRGPEngine):
                 self._gamma[b] = state.gamma
                 self._last_delta[b] = state.last_delta
                 self._has_last[b] = state.has_last
-        initial_link_price = float(config.initial_link_price)
-        self._link_price: list[float] = [initial_link_price] * n_links
+        link_prices = [float(config.initial_link_price)] * compiled.n_links
         for l, lid in enumerate(compiled.link_ids):
             entry = old_links.get(lid)
             if entry is not None and close_enough(
                 entry[0], float(compiled.link_capacity[l])
             ):
-                self._link_price[l] = entry[1]
+                link_prices[l] = entry[1]
+        # Keeps the sign of a -0.0 price, as the reference controllers do.
+        self._link_price = np.array(link_prices, dtype=np.float64)
 
         # Static per-bind precomputation: which utility families are present
         # (to skip dead closed-form columns), the power-family exponent
-        # transforms, and plain-Python views of the admission inputs — the
-        # greedy fill is scalar work, where lists beat numpy indexing.
+        # transforms, and the class axis grouped by node for the per-node
+        # BC(b,t) reduction.
         pow_flows = compiled.flow_family == FAMILY_POW
         self._has_log_flows = bool(np.any(compiled.flow_family == FAMILY_LOG))
         self._has_pow_flows = bool(np.any(pow_flows))
@@ -802,14 +678,16 @@ class VectorizedEngine(LRGPEngine):
             int(i) for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0]
         ]
         self._node_class_lists = [
-            [int(j) for j in members] for members in compiled.node_class_positions
+            members.tolist() for members in compiled.node_class_positions
         ]
-        self._max_consumers_list = [int(m) for m in compiled.max_consumers]
-        # Budget needed to admit every chargeable class at n^max, assuming
-        # its flow rate (the ratio-independent part); rate joins per step.
+        # The class axis grouped by node for the BC(b,t) reduceat; every
+        # consumer node hosts a class, so no segment is empty.
+        self._by_node = np.argsort(compiled.class_node, kind="stable")
+        self._node_starts = np.searchsorted(
+            compiled.class_node[self._by_node], np.arange(n_nodes)
+        )
         self._max_consumers_float = compiled.max_consumers.astype(np.float64)
-        self._node_capacity_list = [float(c) for c in compiled.node_capacity]
-        self._link_capacity_list = [float(c) for c in compiled.link_capacity]
+        self._node_capacity_list = compiled.node_capacity.tolist()
 
         telemetry = config.telemetry
         if telemetry.enabled:
@@ -819,6 +697,11 @@ class VectorizedEngine(LRGPEngine):
             self._link_probes = [
                 telemetry.probe("link", lid) for lid in compiled.link_ids
             ]
+            self._link_capacity_list = compiled.link_capacity.tolist()
+            self._link_price_values = link_prices
+            self._max_consumers_objects = np.array(
+                compiled.max_consumers.tolist(), dtype=object
+            )
         else:
             self._node_probes = []
             self._link_probes = []
@@ -831,21 +714,17 @@ class VectorizedEngine(LRGPEngine):
         registry = telemetry.registry
         profiler = telemetry.profiler
         snapshots = self._config.record_snapshots
-        sparse = self._sparse
         slack: dict[str, float] = {}
 
         with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
             # 1. Rate allocation (Algorithm 1): prices from last iteration's
             #    populations, then the batched argmax of eq. 7.
             with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
-                populations = np.array(self._populations, dtype=np.float64)
-                flow_prices = (
-                    compiled.flow_prices_sparse if sparse else compiled.flow_prices
-                )
-                prices = flow_prices(
+                populations = self._populations.astype(np.float64)
+                prices = compiled.flow_prices(
                     populations,
                     np.array(self._node_price, dtype=np.float64),
-                    np.array(self._link_price, dtype=np.float64),
+                    self._link_price,
                 )
                 self._rates = self._solve_rates(prices, populations)
 
@@ -856,20 +735,26 @@ class VectorizedEngine(LRGPEngine):
             with registry.timer("lrgp.consumer_allocation"):
                 with profiler.phase("admission"):
                     values = compiled.class_values(self._rates)
-                    new_populations, used, best = self._admit(values)
-                    self._populations = new_populations
+                    admitted, used, best = self._admit(values)
+                    self._populations = admitted
                 with profiler.phase("price_update"):
                     self._update_node_prices(best, used)
                 if snapshots:
                     for b, nid in enumerate(compiled.node_ids):
                         slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
                 if telemetry.enabled:
+                    # Saturated classes share the bound n^max int objects.
+                    shared = self._max_consumers_objects.copy()
+                    short = admitted < compiled.max_consumers
+                    shared[short] = admitted[short]
+                    counts = shared.tolist()
+                    class_ids = compiled.class_ids
                     for b, nid in enumerate(compiled.node_ids):
                         telemetry.emit(
                             AdmissionEvent(
                                 node=nid,
                                 admitted={
-                                    compiled.class_ids[j]: new_populations[j]
+                                    class_ids[j]: counts[j]
                                     for j in self._node_class_lists[b]
                                 },
                                 used=used[b],
@@ -882,22 +767,16 @@ class VectorizedEngine(LRGPEngine):
             # 3. Link prices (eq. 13).
             with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
                 if compiled.n_links:
-                    link_usages = (
-                        compiled.link_usages_sparse if sparse else compiled.link_usages
-                    )
-                    usage = link_usages(self._rates).tolist()
+                    usage = compiled.link_usages(self._rates)
                     self._update_link_prices(usage)
                     if snapshots:
-                        for l, lid in enumerate(compiled.link_ids):
-                            slack[f"link:{lid}"] = (
-                                self._link_capacity_list[l] - usage[l]
-                            )
+                        headroom = (compiled.link_capacity - usage).tolist()
+                        for lid, value in zip(compiled.link_ids, headroom):
+                            slack[f"link:{lid}"] = value
 
             # Zero populations contribute exactly 0, so the dot product
             # equals the reference's skip-if-empty objective sum (eq. 6).
-            utility = float(
-                np.dot(np.array(new_populations, dtype=np.float64), values)
-            )
+            utility = float(np.dot(admitted.astype(np.float64), values))
 
         return StepOutcome(utility=utility, slack=slack)
 
@@ -997,104 +876,103 @@ class VectorizedEngine(LRGPEngine):
 
     def _admit(
         self, values: FloatArray
-    ) -> tuple[list[int], list[float], list[float]]:
-        """Greedy admission (Algorithm 2), bucketed per node.
+    ) -> tuple[IntArray, list[float], list[float]]:
+        """Greedy admission (Algorithm 2) at every node, given class values.
 
-        Ratios (eq. 10) are computed for all classes at once; each node
-        then fills its budget independently.  Two bucket regimes keep the
-        work near-linear in the *admitted* classes instead of the sorted
-        ones:
-
-        * **uncovered nodes** (budget >= cost of admitting everything, one
-          vectorized per-node reduction): every class saturates at
-          ``n^max`` regardless of order, so no sort happens at all;
-        * **contended nodes**: chargeable classes go on a max-heap keyed
-          ``(-ratio, position)`` — descending ratio, ties by class id,
-          exactly the reference's sort key — and are popped only until
-          the budget is spent.  Classes never popped keep population 0,
-          which is precisely what the reference's post-exhaustion loop
-          assigns them.
-
-        Zero-cost classes admit everyone without touching the budget in
-        the reference, so hoisting them out of the ordering is exact.
-        The fill itself runs over plain Python floats so admission counts
-        match the reference bit for bit.  Returns ``(populations, used,
-        best_unsatisfied_ratio)``.
+        Ratios (eq. 10) are computed for all classes at once.  A node whose
+        budget covers the cost of saturating every chargeable class admits
+        everyone (order cannot matter), as do zero-cost classes anywhere —
+        the reference admits them without touching the budget.  The
+        chargeable classes of the other, *contended* nodes are ordered by
+        one ``np.lexsort`` on ``(node, -ratio, class position)``, exactly
+        the reference's order, and each node folds its budget over them in
+        plain Python floats with the reference's operations.  A node's
+        fill stops once the budget cannot admit one consumer of the
+        cheapest class still ahead: IEEE division and floor are monotone,
+        so every class skipped that way would have admitted 0.  Returns
+        ``(populations, used, best_unsatisfied_ratio)``; ``BC(b,t)`` is the
+        largest finite ratio among classes below ``n^max``, 0 when none.
         """
         compiled = self.compiled
-        class_rate = self._rates[compiled.class_flow]
-        unit_cost = compiled.consumer_cost * class_rate
-        ratios = np.zeros(compiled.n_classes, dtype=np.float64)
+        max_consumers = compiled.max_consumers
+        unit_cost = compiled.consumer_cost * self._rates[compiled.class_flow]
         chargeable = unit_cost > 0.0
-        np.divide(values, unit_cost, out=ratios, where=chargeable)
-        free_and_useful = ~chargeable & (values > 0.0)
-        if free_and_useful.any():
-            ratios[free_and_useful] = np.inf
+        # Free classes rank +inf when useful, 0 otherwise (eq. 10's limits).
+        ratios = np.divide(
+            values,
+            unit_cost,
+            out=np.where(values > 0.0, np.inf, 0.0),
+            where=chargeable,
+        )
 
-        if self._sparse:
-            flow_cost = compiled.node_flow_costs_sparse(self._rates).tolist()
-        else:
-            flow_cost = (compiled.flow_node_cost @ self._rates).tolist()
-        # Budget needed to saturate every chargeable class, per node: when
-        # it fits, the greedy outcome is order-independent (see docstring).
+        flow_cost = compiled.node_flow_costs(self._rates)
+        budget = compiled.node_capacity - flow_cost
         need = np.bincount(
             compiled.class_node,
             weights=np.where(chargeable, unit_cost * self._max_consumers_float, 0.0),
             minlength=compiled.n_nodes,
-        ).tolist()
+        )
+        covered = need <= budget
+        contended = chargeable & ~covered[compiled.class_node]
+        populations = np.where(contended, 0, max_consumers)
 
-        cost_list = unit_cost.tolist()
-        ratio_list = ratios.tolist()
-        max_list = self._max_consumers_list
-        populations = [0] * compiled.n_classes
+        # One stable sort by (node, -ratio); ``sel`` ascends, so ties keep
+        # class-position order — exactly the reference's sort key.
+        sel = contended.nonzero()[0]
+        sel_node = compiled.class_node[sel]
+        order = sel[np.lexsort((-ratios[sel], sel_node))]
+        ends = np.bincount(sel_node, minlength=compiled.n_nodes)
+        cost = memoryview(unit_cost[order])
+        caps = memoryview(max_consumers[order])
+        # Admitted counts in fill order; classes a node never reaches keep 0.
+        filled = np.zeros(sel.size, dtype=np.int64)
+        counts = memoryview(filled)
+        slack = _FLOOR_SLACK
         used: list[float] = []
-        best: list[float] = []
-        isfinite = math.isfinite
-        heappush_all = heapq.heapify
-        heappop = heapq.heappop
-        for b, capacity in enumerate(self._node_capacity_list):
-            node_flow_cost = flow_cost[b]
-            budget = capacity - node_flow_cost
-            consumer_total = 0.0
-            members = self._node_class_lists[b]
-            if need[b] <= budget:
-                # Uncovered: everything saturates, in any order.
-                for j in members:
-                    populations[j] = max_list[j]
-                consumer_total = need[b]
-            else:
-                heap: list[tuple[float, int]] = []
-                for j in members:
-                    if cost_list[j] <= 0.0:
-                        populations[j] = max_list[j]
-                    else:
-                        heap.append((-ratio_list[j], j))
-                heappush_all(heap)
-                while heap and budget > 0.0:
-                    _, j = heappop(heap)
-                    cost_per_consumer = cost_list[j]
-                    admitted = int(budget / cost_per_consumer + _FLOOR_SLACK)
-                    cap = max_list[j]
-                    if admitted > cap:
-                        admitted = cap
-                    populations[j] = admitted
-                    spent = admitted * cost_per_consumer
-                    budget -= spent
-                    consumer_total += spent
-            # BC(b,t) (eq. 11): best ratio among still-unsatisfied classes,
-            # 0 when there are none (max(..., default=0.0) in the reference).
-            best_ratio: float | None = None
-            for j in members:
-                ratio = ratio_list[j]
-                if (
-                    populations[j] < max_list[j]
-                    and (best_ratio is None or ratio > best_ratio)
-                    and isfinite(ratio)
-                ):
-                    best_ratio = ratio
-            used.append(node_flow_cost + consumer_total)
-            best.append(0.0 if best_ratio is None else best_ratio)
-        return populations, used, best
+        start = 0
+        for end, remaining, node_flow_cost, node_need, fits in zip(
+            ends.cumsum().tolist(),
+            budget.tolist(),
+            flow_cost.tolist(),
+            need.tolist(),
+            covered.tolist(),
+        ):
+            if fits:
+                used.append(node_flow_cost + node_need)
+                continue
+            k = start
+            total = 0.0
+            # Cheapest cost over cost[k:end] and where it sits; recomputed
+            # once the fill moves past it.
+            floor_at = k - 1
+            floor_cost = 0.0
+            while k < end and remaining > 0.0:
+                unit = cost[k]
+                count = int(remaining / unit + slack)
+                cap = caps[k]
+                if count > cap:
+                    count = cap
+                counts[k] = count
+                spent = count * unit
+                remaining -= spent
+                total += spent
+                k += 1
+                if count < cap and k < end:
+                    if floor_at < k:
+                        rest = cost[k:end].tolist()
+                        floor_cost = min(rest)
+                        floor_at = k + rest.index(floor_cost)
+                    if int(remaining / floor_cost + slack) == 0:
+                        break
+            used.append(node_flow_cost + total)
+            start = end
+        populations[order] = filled
+
+        unsatisfied = (populations < max_consumers) & np.isfinite(ratios)
+        best = np.maximum.reduceat(
+            np.where(unsatisfied, ratios, -np.inf)[self._by_node], self._node_starts
+        )
+        return populations, used, np.where(best > -np.inf, best, 0.0).tolist()
 
     # -- price updates ----------------------------------------------------------
 
@@ -1160,24 +1038,45 @@ class VectorizedEngine(LRGPEngine):
                     capacity=capacity,
                 )
 
-    def _update_link_prices(self, usage: list[float]) -> None:
-        """Eq. 13 (gradient projection) per bottleneck link, mirroring
-        :class:`LinkPriceController` exactly."""
-        prices = self._link_price
-        probes = self._link_probes
+    def _update_link_prices(self, usage: FloatArray) -> None:
+        """Eq. 13 (gradient projection) on every bottleneck link at once,
+        mirroring :class:`LinkPriceController` exactly.
+
+        The projection is ``where(0 > x, 0, x)`` — Python's ``max(x, 0.0)``
+        — rather than ``np.maximum``, which would turn a ``-0.0`` into
+        ``0.0``.
+        """
+        # One whole-array check; a NaN fails both bounds.
+        if not (usage.min() >= 0.0 and usage.max() < math.inf):
+            bad = usage[~(np.isfinite(usage) & (usage >= 0.0))][0]
+            raise ValueError(
+                f"usage must be finite and non-negative, got {float(bad)}"
+            )
         gamma = self._link_gamma
-        isfinite = math.isfinite
-        for l, capacity in enumerate(self._link_capacity_list):
-            usage_l = usage[l]
-            if not isfinite(usage_l) or usage_l < 0.0:
-                raise ValueError(
-                    f"usage must be finite and non-negative, got {usage_l}"
-                )
-            old_price = prices[l]
-            new_price = max(old_price + gamma * (usage_l - capacity), 0.0)
-            prices[l] = new_price
-            if probes:
-                probe = probes[l]
+        old = self._link_price
+        moved = old + gamma * (usage - self.compiled.link_capacity)
+        self._link_price = new = np.where(0.0 > moved, 0.0, moved)
+        probes = self._link_probes
+        if probes:
+            # Events share float objects across steps, as the reference
+            # controllers' events do: the bound capacities, and each price
+            # until it changes (most links sit at 0), so a long capture
+            # holds no duplicate floats.
+            changed = np.flatnonzero(
+                (new != old) | (np.signbit(new) != np.signbit(old))
+            )
+            old_prices = self._link_price_values
+            new_prices = list(old_prices)
+            for l, price in zip(changed.tolist(), new[changed].tolist()):
+                new_prices[l] = price
+            self._link_price_values = new_prices
+            for probe, old_price, new_price, usage_l, capacity_l in zip(
+                probes,
+                old_prices,
+                new_prices,
+                usage.tolist(),
+                self._link_capacity_list,
+            ):
                 if probe is not None:
                     probe.price_update(
                         old_price,
@@ -1185,5 +1084,5 @@ class VectorizedEngine(LRGPEngine):
                         gamma,
                         "gradient",
                         usage=usage_l,
-                        capacity=capacity,
+                        capacity=capacity_l,
                     )

@@ -10,7 +10,7 @@ controllers — and executes one full LRGP iteration:
   the semantic ground truth: the synchronous runtime is bit-identical to it
   and every other engine is validated against its trajectory.
 * ``"vectorized"`` — :class:`repro.core.compiled.VectorizedEngine`, which
-  lowers the problem to dense numpy arrays and runs the whole iteration as
+  lowers the problem to sparse numpy arrays and runs the whole iteration as
   batched array ops (registered lazily to keep numpy off the import path of
   the reference driver).
 
@@ -312,21 +312,5 @@ def _make_vectorized(problem: Problem, config: "LRGPConfig") -> LRGPEngine:
     return VectorizedEngine(problem, config)
 
 
-def _make_vectorized_dense(problem: Problem, config: "LRGPConfig") -> LRGPEngine:
-    """Vectorized engine pinned to the dense incidence layout."""
-    from repro.core.compiled import VectorizedEngine
-
-    return VectorizedEngine(problem, config, layout="dense")
-
-
-def _make_vectorized_sparse(problem: Problem, config: "LRGPConfig") -> LRGPEngine:
-    """Vectorized engine pinned to the sparse (COO scatter-add) layout."""
-    from repro.core.compiled import VectorizedEngine
-
-    return VectorizedEngine(problem, config, layout="sparse")
-
-
 register_engine("reference", ReferenceEngine)
 register_engine("vectorized", _make_vectorized)
-register_engine("vectorized-dense", _make_vectorized_dense)
-register_engine("vectorized-sparse", _make_vectorized_sparse)

@@ -14,6 +14,11 @@ recognizable direction are reported as neutral ``changes`` (never
 regressions — a watchdog that cries wolf on renamed counters gets
 deleted from CI within a month).
 
+A metric archived as ``null`` — a number the machine could not measure,
+such as a parallel speedup on fewer cores than workers — is *unmeasured*:
+snapshots list it under ``"unmeasured"`` instead of ``"metrics"``, and a
+comparison skips it rather than diffing it or reporting it missing.
+
 When a latency-like metric regresses and both snapshots carry profiler
 phase metrics (``*.self_seconds``, from ``repro profile`` /
 ``BENCH_profile.json``), the comparison also ranks the phases whose
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -108,6 +114,19 @@ def metric_direction(name: str) -> str:
     return "neutral"
 
 
+def _leaves(payload: Any, prefix: str = "") -> Iterator[tuple[str, Any]]:
+    """``(dotted path, value)`` for every leaf of a JSON payload; keys join
+    with ``.`` and list elements use their index."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield from _leaves(value, f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(payload, list):
+        for index, value in enumerate(payload):
+            yield from _leaves(value, f"{prefix}.{index}" if prefix else str(index))
+    else:
+        yield prefix, payload
+
+
 def collect_metrics(payload: Any, prefix: str = "") -> dict[str, float]:
     """Flatten every finite numeric leaf of a JSON payload.
 
@@ -115,22 +134,19 @@ def collect_metrics(payload: Any, prefix: str = "") -> dict[str, float]:
     non-finite floats are skipped — they are flags and sentinels, not
     performance metrics.
     """
-    metrics: dict[str, float] = {}
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            metrics.update(collect_metrics(value, path))
-    elif isinstance(payload, list):
-        for index, value in enumerate(payload):
-            path = f"{prefix}.{index}" if prefix else str(index)
-            metrics.update(collect_metrics(value, path))
-    elif isinstance(payload, bool):
-        pass
-    elif isinstance(payload, (int, float)):
-        value = float(payload)
-        if math.isfinite(value):
-            metrics[prefix] = value
-    return metrics
+    return {
+        path: float(value)
+        for path, value in _leaves(payload, prefix)
+        if isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    }
+
+
+def _null_leaves(payload: Any, prefix: str = "") -> list[str]:
+    """Dotted paths of the ``null`` leaves of a JSON payload: the
+    unmeasured metrics."""
+    return [path for path, value in _leaves(payload, prefix) if value is None]
 
 
 def consolidate(results_dir: str | Path) -> dict[str, Any]:
@@ -143,6 +159,7 @@ def consolidate(results_dir: str | Path) -> dict[str, Any]:
     """
     directory = Path(results_dir)
     metrics: dict[str, float] = {}
+    unmeasured: list[str] = []
     suites: list[str] = []
     skipped: list[str] = []
     for path in sorted(directory.glob("BENCH_*.json")):
@@ -156,11 +173,13 @@ def consolidate(results_dir: str | Path) -> dict[str, Any]:
             continue
         suites.append(suite)
         metrics.update(collect_metrics(payload, suite))
+        unmeasured.extend(_null_leaves(payload, suite))
     return {
         "version": 1,
         "suites": suites,
         "skipped": skipped,
         "metrics": {name: metrics[name] for name in sorted(metrics)},
+        "unmeasured": sorted(unmeasured),
     }
 
 
@@ -215,6 +234,8 @@ class BenchComparison:
     #: Phase self-times that grew the most, ranked — populated only when a
     #: latency-like metric regressed and both snapshots carry phase data.
     blame: tuple[PhaseBlame, ...] = ()
+    #: Metrics ``null`` (unmeasured) in either snapshot: never diffed.
+    unmeasured: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         def rows(deltas: tuple[MetricDelta, ...]) -> list[dict[str, Any]]:
@@ -237,6 +258,7 @@ class BenchComparison:
             "stable": self.stable,
             "missing": list(self.missing),
             "added": list(self.added),
+            "unmeasured": list(self.unmeasured),
             "blame": [
                 {
                     "phase": entry.phase,
@@ -261,6 +283,14 @@ def _metrics_of(snapshot: dict[str, Any]) -> dict[str, float]:
         for name, value in metrics.items()
         if isinstance(value, (int, float)) and not isinstance(value, bool)
     }
+
+
+def _unmeasured_of(snapshot: dict[str, Any]) -> set[str]:
+    """Null metric names of a snapshot (trajectory form or raw payload)."""
+    metrics = snapshot.get("metrics")
+    if not isinstance(metrics, dict):
+        return set(_null_leaves(snapshot))
+    return set(snapshot.get("unmeasured", ())) | set(_null_leaves(metrics))
 
 
 #: Metric suffix identifying a profiler phase's exclusive time.
@@ -316,8 +346,17 @@ def compare_snapshots(
     """Diff two snapshots (trajectory form, or raw ``BENCH_*`` payloads)."""
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    old_metrics = _metrics_of(old)
-    new_metrics = _metrics_of(new)
+    unmeasured = _unmeasured_of(old) | _unmeasured_of(new)
+    old_metrics = {
+        name: value
+        for name, value in _metrics_of(old).items()
+        if name not in unmeasured
+    }
+    new_metrics = {
+        name: value
+        for name, value in _metrics_of(new).items()
+        if name not in unmeasured
+    }
     regressions: list[MetricDelta] = []
     improvements: list[MetricDelta] = []
     changes: list[MetricDelta] = []
@@ -361,6 +400,7 @@ def compare_snapshots(
         missing=tuple(sorted(set(old_metrics) - set(new_metrics))),
         added=tuple(sorted(set(new_metrics) - set(old_metrics))),
         blame=blame,
+        unmeasured=tuple(sorted(unmeasured)),
     )
 
 
@@ -409,5 +449,10 @@ def render_comparison(comparison: BenchComparison) -> str:
         lines.append(
             f"added in new: {', '.join(comparison.added[:10])}"
             + (" ..." if len(comparison.added) > 10 else "")
+        )
+    if comparison.unmeasured:
+        lines.append(
+            f"unmeasured (skipped): {', '.join(comparison.unmeasured[:10])}"
+            + (" ..." if len(comparison.unmeasured) > 10 else "")
         )
     return "\n".join(lines)

@@ -20,7 +20,7 @@ producer-hub / consumer-leaf structure as the tree workloads:
 Unlike the paper overlays, fabric links default to a *finite* capacity,
 so every link is a bottleneck link (eq. 4) with a live price controller —
 at ``spines=100, leaves=100`` that is the 10k+ link / 1k+ flow scale the
-sparse engine layout exists for, with compiled-array memory proportional
+engine's sparse lowering exists for, with compiled-array memory proportional
 to route nonzeros rather than ``n_links x n_flows``.
 """
 

@@ -9,6 +9,7 @@ from repro.core.compiled import (
     FAMILY_GENERIC,
     FAMILY_LOG,
     FAMILY_POW,
+    CompiledProblem,
     compile_problem,
 )
 from repro.model.allocation import (
@@ -21,6 +22,7 @@ from repro.model.problem import Problem, build_problem
 from repro.utility.functions import LogUtility, PowerUtility, UtilityFunction
 from repro.workloads.base import base_workload
 from repro.workloads.micro import micro_workload
+from repro.workloads.registry import workload_from_spec
 
 
 def replace_class_utility(
@@ -41,6 +43,21 @@ def replace_class_utility(
     )
 
 
+def dense_link_cost(c: CompiledProblem) -> np.ndarray:
+    """The paper's dense ``L`` (bottleneck links x flows), scattered from
+    the compiled COO entries: an oracle for the sparse lowering."""
+    dense = np.zeros((c.n_links, c.n_flows))
+    dense[c.ln_link, c.ln_flow] = c.ln_cost
+    return dense
+
+
+def dense_flow_node_cost(c: CompiledProblem) -> np.ndarray:
+    """The paper's dense ``F`` (consumer nodes x flows), as above."""
+    dense = np.zeros((c.n_nodes, c.n_flows))
+    dense[c.fn_node, c.fn_flow] = c.fn_cost
+    return dense
+
+
 @pytest.fixture(scope="module")
 def compiled_base():
     return compile_problem(base_workload())
@@ -56,15 +73,15 @@ class TestVocabularies:
 
     def test_array_shapes(self, compiled_base):
         c = compiled_base
-        assert c.link_cost.shape == (c.n_links, c.n_flows)
-        assert c.flow_node_cost.shape == (c.n_nodes, c.n_flows)
+        assert dense_link_cost(c).shape == (c.n_links, c.n_flows)
+        assert dense_flow_node_cost(c).shape == (c.n_nodes, c.n_flows)
         for array in (c.rate_min, c.rate_max, c.flow_family):
             assert array.shape == (c.n_flows,)
         for array in (
             c.consumer_cost,
             c.class_flow,
             c.class_node,
-            c.class_cell,
+            c.class_fn_index,
             c.max_consumers,
             c.class_family,
         ):
@@ -84,6 +101,8 @@ class TestVocabularies:
     def test_incidence_matches_cost_model(self, compiled_base):
         c = compiled_base
         problem = c.problem
+        link_cost = dense_link_cost(c)
+        flow_node_cost = dense_flow_node_cost(c)
         for l, lid in enumerate(c.link_ids):
             for i, fid in enumerate(c.flow_ids):
                 expected = (
@@ -91,7 +110,7 @@ class TestVocabularies:
                     if fid in problem.flows_on_link(lid)
                     else 0.0
                 )
-                assert c.link_cost[l, i] == expected
+                assert link_cost[l, i] == expected
         for b, nid in enumerate(c.node_ids):
             for i, fid in enumerate(c.flow_ids):
                 expected = (
@@ -99,7 +118,7 @@ class TestVocabularies:
                     if fid in problem.flows_at_node(nid)
                     else 0.0
                 )
-                assert c.flow_node_cost[b, i] == expected
+                assert flow_node_cost[b, i] == expected
         for j, cid in enumerate(c.class_ids):
             cls = problem.classes[cid]
             assert c.consumer_cost[j] == problem.costs.consumer(cls.node, cid)
@@ -187,6 +206,31 @@ class TestLoweredAccounting:
             assert node[b] == pytest.approx(node_usage(problem, allocation, nid))
         assert c.total_utility(r, n) == pytest.approx(
             total_utility(problem, allocation)
+        )
+
+    @pytest.mark.parametrize("spec", ["base", "leafspine:flows=16"])
+    def test_scatter_adds_match_dense_products(self, spec):
+        """The sparse accounting equals the paper's dense matrix products
+        (eq. 4-5, 8-9) built from the oracle ``L`` and ``F``."""
+        c = compile_problem(workload_from_spec(spec))
+        rng = np.random.default_rng(7)
+        r = rng.uniform(c.rate_min, np.minimum(c.rate_max, 100.0))
+        n = rng.integers(0, c.max_consumers + 1).astype(np.float64)
+        node_prices = rng.uniform(0.0, 1.0, c.n_nodes)
+        link_prices = rng.uniform(0.0, 1.0, c.n_links)
+        link_cost = dense_link_cost(c)
+        coefficients = dense_flow_node_cost(c)
+        np.add.at(coefficients, (c.class_node, c.class_flow), c.consumer_cost * n)
+
+        assert np.allclose(c.link_usages(r), link_cost @ r, rtol=1e-12)
+        assert np.allclose(c.node_usages(r, n), coefficients @ r, rtol=1e-12)
+        assert np.allclose(
+            c.node_flow_costs(r), dense_flow_node_cost(c) @ r, rtol=1e-12
+        )
+        assert np.allclose(
+            c.flow_prices(n, node_prices, link_prices),
+            link_prices @ link_cost + node_prices @ coefficients,
+            rtol=1e-12,
         )
 
     def test_class_values_match_utilities(self, compiled_base):

@@ -181,68 +181,65 @@ class TestTrajectoryEquivalence:
 
 
 class TestLayoutEquivalence:
-    """The sparse lowering is a layout, never a semantics change.
+    """The former pinned layouts, held to the reference step by step.
 
-    Both pinned layouts must match the reference trajectory on every
-    equivalence workload within the same 1e-9 bar the auto engine meets,
-    and match *each other's* integer populations exactly.
+    The dense and sparse layouts were folded into one lowered layout, so
+    both former engine names now resolve to ``vectorized``; each former
+    pin still runs on every equivalence workload. The engine must admit
+    the reference's integer populations *exactly* at every iteration,
+    and track its prices, step sizes and utilities within the pinned
+    tolerance.
     """
 
+    #: Former pinned-layout engine name -> the engine that replaced it.
+    FORMER_LAYOUTS = {
+        "vectorized-dense": "vectorized",
+        "vectorized-sparse": "vectorized",
+    }
+
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_WORKLOADS))
-    @pytest.mark.parametrize("engine", ["vectorized-dense", "vectorized-sparse"])
+    @pytest.mark.parametrize("engine", sorted(FORMER_LAYOUTS))
     def test_layouts_match_reference(self, name, engine):
         make = EQUIVALENCE_WORKLOADS[name]
         reference = LRGP(make(), engine="reference")
-        candidate = LRGP(make(), engine=engine)
-        reference.run(250)
-        candidate.run(250)
+        candidate = LRGP(make(), engine=self.FORMER_LAYOUTS[engine])
+        for iteration in range(1, 251):
+            reference.step()
+            candidate.step()
+            assert candidate.allocation().populations == (
+                reference.allocation().populations
+            ), f"populations diverged at iteration {iteration}"
+            for accessor in ("node_prices", "link_prices", "node_gammas"):
+                expected = getattr(reference, accessor)()
+                actual = getattr(candidate, accessor)()
+                assert actual.keys() == expected.keys()
+                for key, value in expected.items():
+                    assert actual[key] == pytest.approx(
+                        value, rel=ENGINE_EQUIVALENCE_RTOL, abs=1e-9
+                    ), f"{accessor}[{key}] diverged at iteration {iteration}"
         assert_trajectories_match(reference, candidate)
-        assert candidate.allocation().populations == (
-            reference.allocation().populations
-        )
         for flow_id, rate in reference.allocation().rates.items():
             assert candidate.allocation().rates[flow_id] == pytest.approx(
                 rate, rel=ENGINE_EQUIVALENCE_RTOL, abs=1e-9
             )
 
     def test_layout_engines_registered(self):
+        """Only the one lowered engine is registered; the pinned-layout
+        names are not."""
         names = available_engines()
-        assert "vectorized-dense" in names
-        assert "vectorized-sparse" in names
-
-    def test_layout_engines_report_their_name(self):
-        problem = micro_workload()
-        assert (
-            LRGP(problem, engine="vectorized-sparse").engine_name
-            == "vectorized-sparse"
-        )
-        assert (
-            LRGP(problem, engine="vectorized-dense").engine_name
-            == "vectorized-dense"
-        )
-
-    def test_forced_sparse_layout_runs_sparse(self):
-        from repro.core.compiled import VectorizedEngine
-
-        engine = VectorizedEngine(micro_workload(), LRGPConfig(), layout="sparse")
-        assert engine.sparse
-        assert not engine.compiled.dense_materialized()
-        engine.step()
-        assert not engine.compiled.dense_materialized()
-
-    def test_auto_layout_is_dense_below_crossover(self):
-        from repro.core.compiled import SPARSE_MIN_FLOWS, VectorizedEngine
-
-        problem = micro_workload()
-        engine = VectorizedEngine(problem, LRGPConfig())
-        assert len(problem.flows) < SPARSE_MIN_FLOWS
-        assert not engine.sparse
+        assert "vectorized" in names
+        assert "vectorized-dense" not in names
+        assert "vectorized-sparse" not in names
+        with pytest.raises(ValueError):
+            create_engine("vectorized-sparse", micro_workload(), LRGPConfig())
 
     def test_unknown_layout_rejected(self):
+        """The engine takes no ``layout`` argument at all."""
         from repro.core.compiled import VectorizedEngine
 
-        with pytest.raises(ValueError, match="layout"):
-            VectorizedEngine(micro_workload(), LRGPConfig(), layout="csr")
+        for layout in ("csr", "sparse", "dense", "auto"):
+            with pytest.raises(TypeError, match="layout"):
+                VectorizedEngine(micro_workload(), LRGPConfig(), layout=layout)
 
 
 class TestEngineProtocol:
@@ -262,3 +259,49 @@ class TestEngineProtocol:
         optimizer.run(120)
         gammas = set(optimizer.node_gammas().values())
         assert len(gammas) > 1
+
+    def test_vectorized_state_reads_back_as_python_scalars(self):
+        """Array-held state converts to plain ``int``/``float`` at the
+        accessors, before and after a state-preserving rebind."""
+        problem = link_bottleneck_workload(200000.0)
+        optimizer = LRGP(problem, engine="vectorized")
+
+        def assert_python_scalars():
+            for accessor, kind in (
+                ("rates", float),
+                ("populations", int),
+                ("node_prices", float),
+                ("link_prices", float),
+                ("node_gammas", float),
+            ):
+                values = getattr(optimizer.engine, accessor)().values()
+                assert values and all(type(v) is kind for v in values), accessor
+
+        optimizer.run(20)
+        assert_python_scalars()
+        optimizer.set_problem(problem.with_node_capacity("S0", 80000.0))
+        assert_python_scalars()
+        optimizer.step()
+        assert_python_scalars()
+
+    def test_problem_without_classes(self):
+        """No consumer node at all: empty class and node axes still step."""
+        from repro.model.costs import CostModelBuilder
+        from repro.model.entities import Flow, Link, Node, Route
+        from repro.model.problem import build_problem
+
+        problem = build_problem(
+            nodes=[Node("P"), Node("S", capacity=10.0)],
+            links=[Link("P->S", tail="P", head="S", capacity=1.5)],
+            flows=[Flow("f", source="P", rate_min=1.0, rate_max=2.0)],
+            classes=[],
+            routes={"f": Route(nodes=("P", "S"), links=("P->S",))},
+            costs=CostModelBuilder().set_link("P->S", "f", 1.0).build(),
+        )
+        reference = LRGP(problem, engine="reference")
+        vectorized = LRGP(problem, engine="vectorized")
+        reference.run(5)
+        vectorized.run(5)
+        assert vectorized.utilities == reference.utilities
+        assert vectorized.link_prices() == reference.link_prices()
+        assert vectorized.node_prices() == {}

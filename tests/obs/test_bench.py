@@ -93,6 +93,9 @@ class TestCollectMetrics:
         payload = {"flag": True, "name": "x", "bad": math.inf, "ok": 1.0}
         assert collect_metrics(payload) == {"ok": 1.0}
 
+    def test_null_is_not_a_metric(self):
+        assert collect_metrics({"speedup": None, "ok": 1}) == {"ok": 1.0}
+
 
 class TestConsolidate:
     def test_merges_suites_with_prefixes(self, tmp_path):
@@ -109,6 +112,17 @@ class TestConsolidate:
             "engines.speedup": 3.5,
             "faults.retention": 0.99,
         }
+
+    def test_null_metrics_are_listed_unmeasured(self, tmp_path):
+        (tmp_path / "BENCH_sweep.json").write_text(
+            json.dumps(
+                {"speedup": None, "speedup_reason": "1 core", "rows": [None, 2]}
+            ),
+            encoding="utf-8",
+        )
+        snapshot = consolidate(tmp_path)
+        assert snapshot["metrics"] == {"sweep.rows.1": 2.0}
+        assert snapshot["unmeasured"] == ["sweep.rows.0", "sweep.speedup"]
 
     def test_corrupt_suite_is_skipped_not_fatal(self, tmp_path):
         (tmp_path / "BENCH_good.json").write_text("{\"x\": 1}", encoding="utf-8")
@@ -201,6 +215,28 @@ class TestCompareSnapshots:
         )
         assert comparison.missing == ("gone.speedup",)
         assert comparison.added == ("fresh.speedup",)
+
+    def test_null_metric_is_skipped_not_diffed(self):
+        old = snapshot(**{"sweep.speedup": 0.956, "sweep.hits": 24.0})
+        new = {
+            "version": 1,
+            "metrics": {"sweep.hits": 24.0},
+            "unmeasured": ["sweep.speedup"],
+        }
+        for pair in ((old, new), (new, old)):
+            comparison = compare_snapshots(*pair)
+            assert comparison.regressions == comparison.improvements == ()
+            assert comparison.missing == comparison.added == ()
+            assert comparison.unmeasured == ("sweep.speedup",)
+        assert "unmeasured (skipped): sweep.speedup" in render_comparison(
+            compare_snapshots(old, new)
+        )
+
+    def test_null_in_raw_payload_is_skipped(self):
+        comparison = compare_snapshots({"speedup": 0.956}, {"speedup": None})
+        assert comparison.regressions == ()
+        assert comparison.missing == ()
+        assert comparison.to_dict()["unmeasured"] == ["speedup"]
 
     def test_growth_from_zero_is_infinite_change(self):
         comparison = compare_snapshots(
