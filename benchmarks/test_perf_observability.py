@@ -1,4 +1,5 @@
-"""Perf guard: the telemetry no-op path costs <5% of an LRGP iteration.
+"""Perf guards: the telemetry no-op path costs <5% of an LRGP iteration,
+and enabled telemetry costs the vectorized engine at most 1.3x a step.
 
 The observability layer promises that leaving ``LRGPConfig.telemetry`` at
 its default (:data:`~repro.obs.NULL_TELEMETRY`) is effectively free.  The
@@ -8,10 +9,19 @@ operations (the exact timers, guards, counter and gauge touches
 ``LRGP.step`` executes when telemetry is off) timed in isolation, divided
 by the median measured iteration time.  That ratio must stay under 5%.
 
-The run also archives ``results/BENCH_observability.json`` with the raw
-numbers, including the cost of *enabled* telemetry (MemorySink) for
-context — enabled mode is allowed to cost more; only the default path is
-guarded.
+The second guard covers the engine that runs at scale.  The vectorized
+engine reports one columnar record per iteration, so enabled telemetry
+(``Telemetry()``: a live registry and an in-memory sink) must cost at
+most :data:`MAX_VECTORIZED_RATIO` times a telemetry-off step, at
+``flows-x4`` and at the 1k-flow / 10,100-link leg alike.  The two
+optimizers step in alternation on the same problem, so machine drift
+lands on both sides of the ratio.
+
+The run archives ``results/BENCH_observability.json`` (payload version
+2): the no-op numbers at the top level, including the cost of enabled
+telemetry on the reference engine for context, and the vectorized
+ratios under ``vectorized``, each step median with its IQR as a sibling
+``*_iqr`` leaf so ``repro bench compare`` can judge moves against it.
 """
 
 from __future__ import annotations
@@ -19,15 +29,51 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from typing import Any
 
 from conftest import RESULTS_DIR
 
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.obs import NULL_TELEMETRY, MemorySink, Telemetry
 from repro.workloads.base import base_workload
+from repro.workloads.registry import workload_from_spec
 
-#: The ISSUE's acceptance threshold for the default (no-op) path.
+#: Acceptance threshold for the default (no-op) path.
 MAX_NOOP_OVERHEAD = 0.05
+#: Acceptance bound on enabled / disabled vectorized step time.
+MAX_VECTORIZED_RATIO = 1.3
+
+#: Vectorized legs: name -> (workload spec, warm-up steps, timed pairs).
+VECTORIZED_LEGS = {
+    "flows-x4": ("flows-x4", 30, 1000),
+    "fabric-1k": (
+        "leafspine:flows=1024,leaves=100,leaves_per_flow=4,spines=100",
+        5,
+        150,
+    ),
+}
+
+ARCHIVE = RESULTS_DIR / "BENCH_observability.json"
+ARCHIVE_VERSION = 2
+
+
+def archive(section: dict[str, Any]) -> None:
+    """Merge ``section`` into the archived payload, so each guard keeps
+    the other's numbers from the same or an earlier run."""
+    payload: dict[str, Any] = {}
+    if ARCHIVE.is_file():
+        payload = json.loads(ARCHIVE.read_text())
+        if payload.get("version") != ARCHIVE_VERSION:
+            payload = {}
+    payload.update(section)
+    payload["version"] = ARCHIVE_VERSION
+    RESULTS_DIR.mkdir(exist_ok=True)
+    ARCHIVE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def median_and_iqr(samples: list[int]) -> tuple[float, float]:
+    quartiles = statistics.quantiles(samples, n=4, method="inclusive")
+    return statistics.median(samples), quartiles[2] - quartiles[0]
 
 WARMUP_ITERATIONS = 30
 TIMED_ITERATIONS = 200
@@ -108,7 +154,6 @@ def test_noop_telemetry_overhead_under_threshold():
     enabled_ns = median_step_ns(Telemetry(sink=MemorySink()))
     noop_ratio = bundle_ns / iteration_ns
     payload = {
-        "version": 1,
         "workload": "base",
         "timed_iterations": TIMED_ITERATIONS,
         "iteration_median_ns": iteration_ns,
@@ -118,10 +163,7 @@ def test_noop_telemetry_overhead_under_threshold():
         "enabled_overhead_ratio": enabled_ns / iteration_ns - 1.0,
         "threshold": MAX_NOOP_OVERHEAD,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_observability.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    archive(payload)
     print()
     print(
         f"iteration {iteration_ns:.0f}ns, null-telemetry bundle "
@@ -132,6 +174,60 @@ def test_noop_telemetry_overhead_under_threshold():
         f"null telemetry costs {100 * noop_ratio:.2f}% of an LRGP iteration "
         f"(budget {100 * MAX_NOOP_OVERHEAD:.0f}%)"
     )
+
+
+def interleaved_steps(spec: str, warmup: int, pairs: int) -> tuple[list[int], list[int]]:
+    """Step times (ns) of a telemetry-off and a ``Telemetry()`` vectorized
+    optimizer on one problem, stepped in alternation (the order flips
+    every pair).  The sink is emptied before each pair, untimed."""
+    problem = workload_from_spec(spec)
+    telemetry = Telemetry()
+    off = LRGP(problem, LRGPConfig(engine="vectorized"))
+    on = LRGP(problem, LRGPConfig(engine="vectorized", telemetry=telemetry))
+    off.run(warmup)
+    on.run(warmup)
+    sink = telemetry.sink
+    assert isinstance(sink, MemorySink)
+    off_ns: list[int] = []
+    on_ns: list[int] = []
+    for index in range(pairs):
+        sink.clear()
+        order = ((off, off_ns), (on, on_ns))
+        for optimizer, samples in order if index % 2 else order[::-1]:
+            start = time.perf_counter_ns()
+            optimizer.step()
+            samples.append(time.perf_counter_ns() - start)
+    # Telemetry never changes the iterate.
+    assert on.utilities == off.utilities
+    return off_ns, on_ns
+
+
+def test_vectorized_telemetry_overhead_is_bounded():
+    legs = {}
+    for name, (spec, warmup, pairs) in VECTORIZED_LEGS.items():
+        off_ns, on_ns = interleaved_steps(spec, warmup, pairs)
+        off_median, off_iqr = median_and_iqr(off_ns)
+        on_median, on_iqr = median_and_iqr(on_ns)
+        legs[name] = {
+            "workload": spec,
+            "timed_steps": pairs,
+            "off_step_ns": off_median,
+            "off_step_ns_iqr": off_iqr,
+            "on_step_ns": on_median,
+            "on_step_ns_iqr": on_iqr,
+            "overhead_ratio": on_median / off_median,
+        }
+        print(
+            f"\n{name}: telemetry off {off_median / 1e3:.1f}us, "
+            f"Telemetry() {on_median / 1e3:.1f}us "
+            f"({on_median / off_median:.3f}x)"
+        )
+    archive({"vectorized": {"threshold": MAX_VECTORIZED_RATIO, "legs": legs}})
+    for name, leg in legs.items():
+        assert leg["overhead_ratio"] <= MAX_VECTORIZED_RATIO, (
+            f"Telemetry() costs {leg['overhead_ratio']:.2f}x a vectorized "
+            f"step on {name} (bound {MAX_VECTORIZED_RATIO}x)"
+        )
 
 
 PROFILE_ITERATIONS = 150

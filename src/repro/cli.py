@@ -573,7 +573,7 @@ def _parse_kinds(spec: str | None) -> set[str] | None:
 
 
 def cmd_trace_run(args: argparse.Namespace) -> int:
-    from repro.obs import CsvSink, JsonlSink, MemorySink
+    from repro.obs import CsvSink, JsonlSink, MemorySink, select
 
     kinds = _parse_kinds(args.events)
     if args.gzip and args.output is None:
@@ -585,11 +585,7 @@ def cmd_trace_run(args: argparse.Namespace) -> int:
     telemetry = _telemetry_run(args, problem)
     sink = telemetry.sink
     assert isinstance(sink, MemorySink)
-    events = [
-        event
-        for event in sink.events
-        if kinds is None or event.kind in kinds
-    ]
+    events = list(select(sink.events, kinds))
 
     if args.gzip:
         import gzip as _gzip
@@ -627,13 +623,19 @@ def _render_event_line(event: object) -> str:
     from repro.obs import (
         AgentExchangeEvent,
         AgentRestartedEvent,
+        ColumnarStepEvent,
         FaultInjectedEvent,
         IterationEvent,
         MessageEvent,
         PriceUpdateEvent,
     )
 
-    if isinstance(event, IterationEvent):
+    if isinstance(event, ColumnarStepEvent):
+        detail = (
+            f"nodes={len(event.node_ids)} links={len(event.link_ids)} "
+            f"classes={len(event.class_ids)}"
+        )
+    elif isinstance(event, IterationEvent):
         detail = f"#{event.iteration} utility={event.utility:,.2f}"
     elif isinstance(event, MessageEvent):
         detail = f"{event.sender} -> {event.recipient} {event.payload}"
@@ -706,9 +708,13 @@ def _follow_lines(path: str, idle_timeout: float) -> "Iterator[str]":
 def cmd_trace_show(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.obs import event_from_dict, open_trace
+    from repro.obs import EVENT_TYPES, ColumnarStepEvent, event_from_dict, open_trace, select
 
     kinds = _parse_kinds(args.type)
+    if kinds is None:
+        # Unfiltered, a columnar record shows as the per-resource events
+        # it stands for.
+        kinds = set(EVENT_TYPES) - {ColumnarStepEvent.kind}
     if not Path(args.file).is_file():
         raise SystemExit(f"no such capture: {args.file}")
     if args.follow and _is_gzip_file(args.file):
@@ -719,8 +725,6 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
         )
 
     def matches(event: object) -> bool:
-        if kinds is not None and getattr(event, "kind", None) not in kinds:
-            return False
         if args.since is not None:
             at = _event_time(event)
             # --since filters on simulated time; untimed events (v1
@@ -737,11 +741,8 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
 
     shown = 0
     dashboard = _DashboardAggregator() if args.dashboard else None
-    for line in lines:
-        text = line.strip()
-        if not text:
-            continue
-        event = event_from_dict(_json.loads(text))
+    parsed = (event_from_dict(_json.loads(line)) for line in lines if line.strip())
+    for event in select(parsed, kinds):
         if not matches(event):
             continue
         shown += 1
@@ -1502,10 +1503,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload with telemetry; print metrics + diagnostics",
     )
     _add_workload_arg(stats)
-    stats.add_argument("--iterations", type=int, default=250,
-                       help="iterations (reference/sync) or time units (async)")
     stats.add_argument(
-        "--engine", choices=["reference", "sync", "async"], default="reference",
+        "--iterations", type=int, default=250,
+        help="iterations (reference/vectorized/sync) or time units (async)",
+    )
+    stats.add_argument(
+        "--engine",
+        choices=["reference", "vectorized", "sync", "async"],
+        default="reference",
         help="which engine to instrument (default: reference driver)",
     )
     stats.add_argument(
@@ -1574,11 +1579,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arg(trace_run)
     trace_run.add_argument(
         "--iterations", type=int, default=100,
-        help="iterations (reference/sync) or time units (async)",
+        help="iterations (reference/vectorized/sync) or time units (async)",
     )
     trace_run.add_argument(
-        "--engine", choices=["reference", "sync", "async"], default="reference",
-        help="which engine to instrument (default: reference driver)",
+        "--engine",
+        choices=["reference", "vectorized", "sync", "async"],
+        default="reference",
+        help="which engine to instrument (default: reference; "
+        "vectorized writes one columnar record per iteration)",
     )
     trace_run.add_argument(
         "--format", choices=["jsonl", "csv"], default="jsonl",
@@ -1591,7 +1599,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_run.add_argument(
         "--snapshots", action="store_true",
         help="include full per-iteration state in iteration events "
-        "(reference engine only)",
+        "(reference and vectorized engines)",
     )
     trace_run.add_argument(
         "--gzip", action="store_true",
@@ -1693,7 +1701,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_compare.add_argument("new", help="candidate snapshot JSON")
     bench_compare.add_argument(
         "--threshold", type=float, default=0.10, metavar="FRACTION",
-        help="relative movement flagged as a change (default: 0.10)",
+        help="relative movement flagged as a change, for metrics without "
+        "a recorded spread; a metric with one (a sibling <metric>_iqr) is "
+        "flagged outside 1.5 x IQR (default: 0.10)",
     )
     bench_compare.add_argument(
         "--json", action="store_true", help="machine-readable diff"

@@ -32,6 +32,10 @@ runs every LRGP iteration as batched array ops (:class:`VectorizedEngine`):
   scalar loop over the short node axis, where it costs less than the
   numpy calls a masked version needs at paper scale.
 
+* **Telemetry** — when enabled, one columnar record per iteration
+  (:class:`~repro.obs.events.ColumnarStepEvent`) built from the arrays
+  above, instead of one event per node and link.
+
 Every step keeps the reference arithmetic operation for operation, so
 admission counts match the reference exactly and the trajectory matches
 it within :data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL` at every
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,17 +67,19 @@ from repro.core.engines import LRGPEngine, StepOutcome
 from repro.core.gamma import AdaptiveGamma, FixedGamma
 from repro.model.entities import ClassId, FlowId, LinkId, NodeId
 from repro.model.problem import Problem
-from repro.obs.events import AdmissionEvent, now_ns
+from repro.obs.events import ColumnarStepEvent, now_ns
 from repro.utility.base import UtilityFunction
 from repro.utility.functions import LogUtility, PowerUtility, ScaledUtility
 from repro.utility.tolerance import close_enough, is_zero
 
 if TYPE_CHECKING:
     from repro.core.lrgp import LRGPConfig
-    from repro.obs.telemetry import PriceProbe
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
+
+#: The link usage a telemetry record carries when there are no links.
+_NO_LINKS: FloatArray = np.zeros(0, dtype=np.float64)
 
 #: Utility-family codes used by the batched rate solver.
 FAMILY_LOG = 0
@@ -154,7 +161,6 @@ class CompiledProblem:
     flow_family: IntArray
     flow_offset: FloatArray
     flow_exponent: FloatArray
-    node_class_positions: tuple[IntArray, ...]
     log_class_positions: IntArray
     pow_class_positions: IntArray
     generic_class_positions: IntArray
@@ -456,11 +462,6 @@ def compile_problem(problem: Problem) -> CompiledProblem:
                 flow_family[i] = FAMILY_POW
                 flow_exponent[i] = exponents[0]
 
-    node_class_positions = tuple(
-        np.nonzero(class_node == b)[0].astype(np.int64)
-        for b in range(len(node_ids))
-    )
-
     return CompiledProblem(
         problem=problem,
         flow_ids=flow_ids,
@@ -490,7 +491,6 @@ def compile_problem(problem: Problem) -> CompiledProblem:
         flow_family=flow_family,
         flow_offset=flow_offset,
         flow_exponent=flow_exponent,
-        node_class_positions=node_class_positions,
         log_class_positions=np.nonzero(class_family == FAMILY_LOG)[0].astype(np.int64),
         pow_class_positions=np.nonzero(class_family == FAMILY_POW)[0].astype(np.int64),
         generic_class_positions=np.nonzero(class_family == FAMILY_GENERIC)[0].astype(
@@ -565,8 +565,6 @@ class VectorizedEngine(LRGPEngine):
         _validate_initial_price(config.initial_link_price, "initial link price")
         self._config = config
         self._compiled: CompiledProblem | None = None
-        self._node_probes: list["PriceProbe | None"] = []
-        self._link_probes: list["PriceProbe | None"] = []
         self.bind(problem, preserve_state=False)
 
     # -- accessors ----------------------------------------------------------
@@ -677,9 +675,6 @@ class VectorizedEngine(LRGPEngine):
         self._generic_flow_positions = [
             int(i) for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0]
         ]
-        self._node_class_lists = [
-            members.tolist() for members in compiled.node_class_positions
-        ]
         # The class axis grouped by node for the BC(b,t) reduceat; every
         # consumer node hosts a class, so no segment is empty.
         self._by_node = np.argsort(compiled.class_node, kind="stable")
@@ -688,23 +683,10 @@ class VectorizedEngine(LRGPEngine):
         )
         self._max_consumers_float = compiled.max_consumers.astype(np.float64)
         self._node_capacity_list = compiled.node_capacity.tolist()
-
-        telemetry = config.telemetry
-        if telemetry.enabled:
-            self._node_probes = [
-                telemetry.probe("node", nid) for nid in compiled.node_ids
-            ]
-            self._link_probes = [
-                telemetry.probe("link", lid) for lid in compiled.link_ids
-            ]
-            self._link_capacity_list = compiled.link_capacity.tolist()
-            self._link_price_values = link_prices
-            self._max_consumers_objects = np.array(
-                compiled.max_consumers.tolist(), dtype=object
-            )
-        else:
-            self._node_probes = []
-            self._link_probes = []
+        if config.telemetry.enabled:
+            # Telemetry records share these with the compiled problem.
+            for shared in (compiled.node_capacity, compiled.link_capacity, compiled.class_node):
+                shared.setflags(write=False)
 
     # -- one iteration -------------------------------------------------------
 
@@ -738,31 +720,23 @@ class VectorizedEngine(LRGPEngine):
                     admitted, used, best = self._admit(values)
                     self._populations = admitted
                 with profiler.phase("price_update"):
-                    self._update_node_prices(best, used)
+                    if telemetry.enabled:
+                        # Eq. 12 moves the node lists in place; eq. 13
+                        # replaces the link array.
+                        old_node_price = list(self._node_price)
+                        old_gamma = list(self._gamma)
+                        old_link_price = self._link_price
+                        usage = _NO_LINKS
+                        branches: list[str] = []
+                        fluctuations: list[bool] = []
+                        fluctuation_steps = self._update_node_prices(
+                            best, used, branches, fluctuations
+                        )
+                    else:
+                        self._update_node_prices(best, used)
                 if snapshots:
                     for b, nid in enumerate(compiled.node_ids):
                         slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
-                if telemetry.enabled:
-                    # Saturated classes share the bound n^max int objects.
-                    shared = self._max_consumers_objects.copy()
-                    short = admitted < compiled.max_consumers
-                    shared[short] = admitted[short]
-                    counts = shared.tolist()
-                    class_ids = compiled.class_ids
-                    for b, nid in enumerate(compiled.node_ids):
-                        telemetry.emit(
-                            AdmissionEvent(
-                                node=nid,
-                                admitted={
-                                    class_ids[j]: counts[j]
-                                    for j in self._node_class_lists[b]
-                                },
-                                used=used[b],
-                                capacity=self._node_capacity_list[b],
-                                best_ratio=best[b],
-                                t_ns=now_ns(),
-                            )
-                        )
 
             # 3. Link prices (eq. 13).
             with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
@@ -773,6 +747,52 @@ class VectorizedEngine(LRGPEngine):
                         headroom = (compiled.link_capacity - usage).tolist()
                         for lid, value in zip(compiled.link_ids, headroom):
                             slack[f"link:{lid}"] = value
+
+            if telemetry.enabled:
+                # One columnar record per step from the arrays at hand (the
+                # float node columns in one block); the counters move once
+                # per step by the number of updates.
+                n = compiled.n_nodes
+                node = np.fromiter(
+                    chain(old_node_price, self._node_price, old_gamma, self._gamma, used, best),
+                    np.float64,
+                    6 * n,
+                )
+                # The record shares these with the engine, which replaces
+                # rather than writes them: keep readers from writing either
+                # (before slicing, since views copy the flag).
+                for shared in (node, admitted, self._link_price, usage):
+                    shared.setflags(write=False)
+                telemetry.emit(
+                    ColumnarStepEvent(
+                        t_ns=now_ns(),
+                        node_ids=compiled.node_ids,
+                        link_ids=compiled.link_ids,
+                        class_ids=compiled.class_ids,
+                        node_old_price=node[:n],
+                        node_new_price=node[n : 2 * n],
+                        node_gamma=node[2 * n : 3 * n],
+                        node_new_gamma=node[3 * n : 4 * n],
+                        node_fluctuated=np.array(fluctuations, dtype=np.bool_),
+                        node_branch=tuple(branches),
+                        node_used=node[4 * n : 5 * n],
+                        node_capacity=compiled.node_capacity,
+                        node_best_ratio=node[5 * n :],
+                        populations=admitted,
+                        class_node=compiled.class_node,
+                        link_step=self._link_gamma,
+                        link_old_price=old_link_price,
+                        link_new_price=self._link_price,
+                        link_usage=usage,
+                        link_capacity=compiled.link_capacity,
+                    )
+                )
+                if compiled.n_nodes:
+                    registry.counter("prices.updates.node").inc(compiled.n_nodes)
+                if compiled.n_links:
+                    registry.counter("prices.updates.link").inc(compiled.n_links)
+                if fluctuation_steps:
+                    registry.counter("gamma.fluctuations").inc(fluctuation_steps)
 
             # Zero populations contribute exactly 0, so the dot product
             # equals the reference's skip-if-empty objective sum (eq. 6).
@@ -976,14 +996,26 @@ class VectorizedEngine(LRGPEngine):
 
     # -- price updates ----------------------------------------------------------
 
-    def _update_node_prices(self, best: list[float], used: list[float]) -> None:
+    def _update_node_prices(
+        self,
+        best: list[float],
+        used: list[float],
+        branches: list[str] | None = None,
+        fluctuations: list[bool] | None = None,
+    ) -> int:
         """Eq. 12 per node, mirroring :class:`NodePriceController` exactly,
-        including the adaptive-gamma observation (section 4.2)."""
+        including the adaptive-gamma observation (section 4.2).
+
+        With ``branches`` given (telemetry on), appends each node's branch
+        and fluctuation test to ``branches`` / ``fluctuations`` and returns
+        how many fluctuations moved γ — what the reference schedules count
+        as ``gamma.fluctuations``; returns 0 otherwise.
+        """
         prices = self._node_price
         gammas = self._gamma
-        probes = self._node_probes
         adaptive = self._adaptive
         isfinite = math.isfinite
+        fluctuation_steps = 0
         for b, capacity in enumerate(self._node_capacity_list):
             benefit_cost = best[b]
             used_b = used[b]
@@ -1023,20 +1055,12 @@ class VectorizedEngine(LRGPEngine):
                 fluctuated = False
                 new_gamma = gamma
 
-            if probes:
-                probe = probes[b]
-                if probe is None:
-                    continue
-                if adaptive and not is_zero(new_gamma - gamma):
-                    probe.gamma_step(gamma, new_gamma, fluctuated)
-                probe.price_update(
-                    old_price,
-                    new_price,
-                    gamma,
-                    branch,
-                    usage=used_b,
-                    capacity=capacity,
-                )
+            if branches is not None and fluctuations is not None:
+                branches.append(branch)
+                fluctuations.append(fluctuated)
+                if fluctuated and not is_zero(new_gamma - gamma):
+                    fluctuation_steps += 1
+        return fluctuation_steps
 
     def _update_link_prices(self, usage: FloatArray) -> None:
         """Eq. 13 (gradient projection) on every bottleneck link at once,
@@ -1055,34 +1079,5 @@ class VectorizedEngine(LRGPEngine):
         gamma = self._link_gamma
         old = self._link_price
         moved = old + gamma * (usage - self.compiled.link_capacity)
-        self._link_price = new = np.where(0.0 > moved, 0.0, moved)
-        probes = self._link_probes
-        if probes:
-            # Events share float objects across steps, as the reference
-            # controllers' events do: the bound capacities, and each price
-            # until it changes (most links sit at 0), so a long capture
-            # holds no duplicate floats.
-            changed = np.flatnonzero(
-                (new != old) | (np.signbit(new) != np.signbit(old))
-            )
-            old_prices = self._link_price_values
-            new_prices = list(old_prices)
-            for l, price in zip(changed.tolist(), new[changed].tolist()):
-                new_prices[l] = price
-            self._link_price_values = new_prices
-            for probe, old_price, new_price, usage_l, capacity_l in zip(
-                probes,
-                old_prices,
-                new_prices,
-                usage.tolist(),
-                self._link_capacity_list,
-            ):
-                if probe is not None:
-                    probe.price_update(
-                        old_price,
-                        new_price,
-                        gamma,
-                        "gradient",
-                        usage=usage_l,
-                        capacity=capacity_l,
-                    )
+        # A fresh array each step: a telemetry record keeps the old one.
+        self._link_price = np.where(0.0 > moved, 0.0, moved)

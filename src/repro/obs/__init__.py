@@ -1,12 +1,16 @@
 """``repro.obs`` — the unified telemetry layer.
 
-Pure-stdlib observability substrate shared by the LRGP core, both
-runtimes and the event simulator (see docs/observability.md):
+Observability substrate shared by the LRGP core, both runtimes and the
+event simulator (see docs/observability.md); stdlib only, except that the
+vectorized engine's columnar records hold numpy arrays:
 
 * :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
   and ``timer()`` profiling hooks;
 * typed trace events + sinks (:class:`MemorySink`, :class:`JsonlSink`,
-  :class:`CsvSink`) behind the :class:`TraceSink` protocol;
+  :class:`CsvSink`) behind the :class:`TraceSink` protocol, including
+  the per-iteration :class:`ColumnarStepEvent`, its :func:`expand`
+  back into per-resource events and the kind filter :func:`select`
+  that sees through it;
 * :class:`Telemetry` — the registry+sink bundle instrumented code takes
   as one optional dependency, defaulting to the allocation-free
   :data:`NULL_TELEMETRY`;
@@ -60,6 +64,7 @@ from repro.obs.events import (
     AdmissionEvent,
     AgentExchangeEvent,
     AgentRestartedEvent,
+    ColumnarStepEvent,
     FaultInjectedEvent,
     GammaStepEvent,
     IterationEvent,
@@ -68,7 +73,10 @@ from repro.obs.events import (
     TraceEvent,
     TraceEventError,
     event_from_dict,
+    expand,
+    expand_stream,
     now_ns,
+    select,
 )
 from repro.obs.export import (
     render_metrics,
@@ -137,6 +145,7 @@ __all__ = [
     "BenchComparison",
     "CausalContext",
     "CausalGraph",
+    "ColumnarStepEvent",
     "ConvergenceDiagnostics",
     "Counter",
     "CriticalHop",
@@ -181,6 +190,8 @@ __all__ = [
     "count_oscillations",
     "diagnostics_to_dict",
     "event_from_dict",
+    "expand",
+    "expand_stream",
     "format_cell",
     "merge_reports",
     "now_ns",
@@ -195,6 +206,7 @@ __all__ = [
     "render_state",
     "report_from_dict",
     "sanitize_metric_name",
+    "select",
     "snapshot_from_dict",
     "snapshot_to_dict",
     "to_collapsed",

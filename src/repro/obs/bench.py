@@ -19,6 +19,13 @@ such as a parallel speedup on fewer cores than workers — is *unmeasured*:
 snapshots list it under ``"unmeasured"`` instead of ``"metrics"``, and a
 comparison skips it rather than diffing it or reporting it missing.
 
+A metric archived with its spread — a sibling leaf ``<metric>_iqr``
+holding the interquartile range of its repeats — is compared against
+that noise: it is flagged only when the new value falls outside the old
+value ± ``NOISE_FACTOR`` x IQR of the old snapshot.  Metrics without a recorded spread keep
+the flat relative ``threshold``.  The ``_iqr`` leaves themselves are the
+band, not metrics, and are never diffed.
+
 When a latency-like metric regresses and both snapshots carry profiler
 phase metrics (``*.self_seconds``, from ``repro profile`` /
 ``BENCH_profile.json``), the comparison also ranks the phases whose
@@ -54,6 +61,12 @@ __all__ = [
 
 #: Default movement (relative) past which a metric is flagged.
 DEFAULT_THRESHOLD = 0.10
+
+#: Suffix of the leaf recording a metric's spread (interquartile range).
+SPREAD_SUFFIX = "_iqr"
+#: Half-width, in IQRs, of the noise band around a metric with a recorded
+#: spread (Tukey's fence factor).
+NOISE_FACTOR = 1.5
 
 #: Tags marking a metric where *up is worse* (latency/deficit-like;
 #: ``loss``/``drop`` cover deficit metrics such as ``utility_loss`` and
@@ -193,6 +206,9 @@ class MetricDelta:
     #: Relative change ``(new - old) / |old|``; ``inf`` when old == 0.
     change: float
     direction: str  # "lower" | "higher" | "neutral"
+    #: The recorded IQR the move was judged against; ``None`` when the
+    #: flat relative threshold applied.
+    spread: float | None = None
 
     @property
     def is_regression(self) -> bool:
@@ -246,6 +262,7 @@ class BenchComparison:
                     "new": delta.new,
                     "change": delta.change,
                     "direction": delta.direction,
+                    "spread": delta.spread,
                 }
                 for delta in deltas
             ]
@@ -338,12 +355,35 @@ def _blame_phases(
     return tuple(entries[:_BLAME_LIMIT])
 
 
+def _split_spreads(
+    metrics: dict[str, float],
+) -> tuple[dict[str, float], dict[str, float]]:
+    """``(metrics, spreads)``: each ``<name>_iqr`` leaf whose ``<name>`` is
+    also a metric moves out of the metrics into ``spreads[name]``."""
+    spreads = {
+        name.removesuffix(SPREAD_SUFFIX): value
+        for name, value in metrics.items()
+        if name.endswith(SPREAD_SUFFIX) and name.removesuffix(SPREAD_SUFFIX) in metrics
+    }
+    rest = {
+        name: value
+        for name, value in metrics.items()
+        if name.removesuffix(SPREAD_SUFFIX) not in spreads or name in spreads
+    }
+    return rest, spreads
+
+
 def compare_snapshots(
     old: dict[str, Any],
     new: dict[str, Any],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> BenchComparison:
-    """Diff two snapshots (trajectory form, or raw ``BENCH_*`` payloads)."""
+    """Diff two snapshots (trajectory form, or raw ``BENCH_*`` payloads).
+
+    A metric with a spread recorded in the old snapshot is flagged when it
+    moves more than ``NOISE_FACTOR`` IQRs; any other metric when it moves
+    more than ``threshold`` relative.
+    """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     unmeasured = _unmeasured_of(old) | _unmeasured_of(new)
@@ -357,6 +397,8 @@ def compare_snapshots(
         for name, value in _metrics_of(new).items()
         if name not in unmeasured
     }
+    old_metrics, old_spreads = _split_spreads(old_metrics)
+    new_metrics, _ = _split_spreads(new_metrics)
     regressions: list[MetricDelta] = []
     improvements: list[MetricDelta] = []
     changes: list[MetricDelta] = []
@@ -369,7 +411,12 @@ def compare_snapshots(
         change = (
             math.inf if is_zero(before) else (after - before) / abs(before)
         )
-        if abs(change) <= threshold:
+        spread = old_spreads.get(name)
+        if spread is None:
+            within_noise = abs(change) <= threshold
+        else:
+            within_noise = abs(after - before) <= NOISE_FACTOR * spread
+        if within_noise:
             stable += 1
             continue
         delta = MetricDelta(
@@ -378,6 +425,7 @@ def compare_snapshots(
             new=after,
             change=change,
             direction=metric_direction(name),
+            spread=spread,
         )
         if delta.is_regression:
             regressions.append(delta)
@@ -411,7 +459,8 @@ def _format_change(change: float) -> str:
 def render_comparison(comparison: BenchComparison) -> str:
     """Human-readable diff (the ``repro bench compare`` output)."""
     lines = [
-        f"benchmark comparison (threshold {comparison.threshold:.0%}): "
+        f"benchmark comparison (threshold {comparison.threshold:.0%}, "
+        f"or {NOISE_FACTOR:g} x IQR where recorded): "
         f"{len(comparison.regressions)} regression(s), "
         f"{len(comparison.improvements)} improvement(s), "
         f"{len(comparison.changes)} neutral change(s), "
@@ -429,9 +478,14 @@ def render_comparison(comparison: BenchComparison) -> str:
             arrow = "worse" if delta.is_regression else (
                 "better" if delta.direction != "neutral" else "moved"
             )
+            band = (
+                ""
+                if delta.spread is None
+                else f", outside ±{NOISE_FACTOR:g} x IQR {delta.spread:g}"
+            )
             lines.append(
                 f"  {delta.name}: {delta.old:g} -> {delta.new:g} "
-                f"({_format_change(delta.change)}, {arrow})"
+                f"({_format_change(delta.change)}, {arrow}{band})"
             )
     if comparison.blame:
         lines.append("regression blame (phase self-time growth):")

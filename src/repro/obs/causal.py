@@ -46,6 +46,7 @@ from repro.obs.events import (
     MessageEvent,
     PriceUpdateEvent,
     TraceEvent,
+    expand_stream,
 )
 from repro.utility.stability import (
     CONVERGENCE_REL_AMPLITUDE,
@@ -252,7 +253,8 @@ class CausalGraph:
         self._events = 0
         pending: dict[str, list[str]] = {}
 
-        for index, event in enumerate(events):
+        # Columnar records count as the per-resource events they stand for.
+        for index, event in enumerate(expand_stream(events)):
             self._events += 1
             if isinstance(event, AgentExchangeEvent):
                 if event.span_id is None:

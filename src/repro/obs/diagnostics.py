@@ -13,7 +13,9 @@ Answers the questions the paper's evaluation keeps asking of a run:
   adaptive γ heuristic damps (section 4.2, figure 2).
 * **Is it feasible?**  Final per-constraint residual/slack from the
   ``usage``/``capacity`` operands carried by ``price_update`` events
-  (eq. 4/5 left-hand sides vs capacities).
+  (eq. 4/5 left-hand sides vs capacities).  Columnar records (schema
+  v3) are read through :func:`~repro.obs.events.expand`, so a vectorized
+  capture gives the same report as the per-resource stream it replaces.
 * **How good is it?**  Utility gap to a caller-supplied upper bound
   (e.g. ``repro.baselines.bounds.utility_upper_bound``).
 
@@ -28,7 +30,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-from repro.obs.events import IterationEvent, PriceUpdateEvent, TraceEvent
+from repro.obs.events import (
+    IterationEvent,
+    PriceUpdateEvent,
+    TraceEvent,
+    expand_stream,
+)
 from repro.utility.stability import (
     CONVERGENCE_REL_AMPLITUDE,
     CONVERGENCE_WINDOW,
@@ -165,7 +172,7 @@ class ConvergenceDiagnostics:
         price_series: dict[str, list[float]] = {}
         last_update: dict[str, PriceUpdateEvent] = {}
 
-        for event in events:
+        for event in expand_stream(events):
             if isinstance(event, IterationEvent):
                 utilities.append(event.utility)
                 stamps.append(event.t_ns)

@@ -33,18 +33,33 @@ Schema versions (:data:`TRACE_SCHEMA_VERSION`):
   :func:`event_from_dict` still parses any v1 JSONL capture, and v1
   readers that ignore unknown keys keep working on the flat CSV form
   (optional fields are flattened only when present).
+* **v3** — adds the ``columnar_step`` record
+  (:class:`ColumnarStepEvent`): the vectorized engine reports one
+  iteration's eq. 12 node updates, Algorithm 2 admissions and eq. 13
+  link updates as arrays keyed by the compiled id vocabularies, instead
+  of one ``gamma_step``/``price_update``/``admission`` event per
+  resource.  :func:`expand` turns a record back into exactly those v2
+  events, so every reader that wants the per-resource grain gets it;
+  v1/v2 captures parse unchanged.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar, Union
 
+import numpy as np
+from numpy.typing import NDArray
+
+from repro.utility.tolerance import is_zero
+
 #: Version of the trace event schema written by :class:`JsonlSink`
-#: captures.  Bumped to 2 by the causal-tracing fields; v1 captures
-#: (without them) parse unchanged — see the module docstring.
-TRACE_SCHEMA_VERSION = 2
+#: captures.  Bumped to 2 by the causal-tracing fields and to 3 by the
+#: columnar ``columnar_step`` record; v1 and v2 captures parse unchanged
+#: — see the module docstring.
+TRACE_SCHEMA_VERSION = 3
 
 
 def now_ns() -> int:
@@ -314,6 +329,151 @@ class AgentRestartedEvent(_Event):
     populations: dict[str, int] | None = None
 
 
+#: Payload key -> array dtype of the :class:`ColumnarStepEvent` columns.
+_COLUMNS: dict[str, type] = {
+    "node_old_price": np.float64,
+    "node_new_price": np.float64,
+    "node_gamma": np.float64,
+    "node_new_gamma": np.float64,
+    "node_fluctuated": np.bool_,
+    "node_used": np.float64,
+    "node_capacity": np.float64,
+    "node_best_ratio": np.float64,
+    "populations": np.int64,
+    "class_node": np.int64,
+    "link_old_price": np.float64,
+    "link_new_price": np.float64,
+    "link_usage": np.float64,
+    "link_capacity": np.float64,
+}
+#: Id vocabulary -> the columns positioned on it.
+_AXES: dict[str, tuple[str, ...]] = {
+    "node_ids": tuple(name for name in _COLUMNS if name.startswith("node_"))
+    + ("node_branch",),
+    "class_ids": ("populations", "class_node"),
+    "link_ids": tuple(name for name in _COLUMNS if name.startswith("link_")),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnarStepEvent(_Event):
+    """One vectorized-engine iteration as columns (trace schema v3).
+
+    Every ``node_*`` array is positioned on ``node_ids``, every
+    ``link_*`` array on ``link_ids`` and ``populations`` / ``class_node``
+    on ``class_ids``.  The engine passes its compiled vocabularies and
+    static arrays (capacities, ``class_node``) by reference, so a record
+    costs a handful of array references, not one object per resource.
+
+    * eq. 12 — ``node_old_price`` -> ``node_new_price`` with step
+      ``node_gamma`` on branch ``node_branch`` (``track``/``violation``),
+      operand ``node_used`` against ``node_capacity``; the section 4.2
+      schedule moved γ to ``node_new_gamma`` (``node_fluctuated`` is its
+      fluctuation test).
+    * Algorithm 2 — ``populations`` admitted per class, hosted at node
+      ``class_node``; each node's ``node_used`` and ``node_best_ratio``
+      (``BC(b,t)``).
+    * eq. 13 — ``link_old_price`` -> ``link_new_price`` with the fixed
+      step ``link_step``, operand ``link_usage`` against
+      ``link_capacity``.
+
+    :func:`expand` turns a record into the per-resource events it
+    replaces.  Equality compares the arrays bit for bit.
+    """
+
+    kind: ClassVar[str] = "columnar_step"
+    #: The v2 event kinds a record expands into.
+    EXPANDS_TO: ClassVar[frozenset[str]] = frozenset(
+        {"gamma_step", "price_update", "admission"}
+    )
+
+    t_ns: int
+    node_ids: tuple[str, ...]
+    link_ids: tuple[str, ...]
+    class_ids: tuple[str, ...]
+    node_old_price: NDArray[np.float64]
+    node_new_price: NDArray[np.float64]
+    node_gamma: NDArray[np.float64]
+    node_new_gamma: NDArray[np.float64]
+    node_fluctuated: NDArray[np.bool_]
+    node_branch: tuple[str, ...]
+    node_used: NDArray[np.float64]
+    node_capacity: NDArray[np.float64]
+    node_best_ratio: NDArray[np.float64]
+    populations: NDArray[np.int64]
+    class_node: NDArray[np.int64]
+    link_step: float
+    link_old_price: NDArray[np.float64]
+    link_new_price: NDArray[np.float64]
+    link_usage: NDArray[np.float64]
+    link_capacity: NDArray[np.float64]
+
+    def to_dict(self) -> dict[str, Any]:
+        payload: dict[str, Any] = {"type": self.kind}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            payload[spec.name] = (
+                value.tolist() if isinstance(value, np.ndarray) else value
+            )
+        return payload
+
+    @classmethod
+    def from_payload(cls, data: dict[str, Any]) -> "ColumnarStepEvent":
+        """Inverse of :meth:`to_dict` (minus the ``type`` tag): lists
+        become typed arrays and every column is checked against its
+        vocabulary's length."""
+        try:
+            values = dict(data)
+            for name in ("node_ids", "link_ids", "class_ids", "node_branch"):
+                values[name] = tuple(values[name])
+            for name, dtype in _COLUMNS.items():
+                values[name] = np.array(values[name], dtype=dtype)
+            event = cls(**values)
+        except (KeyError, TypeError, ValueError) as error:
+            raise TraceEventError(f"malformed {cls.kind!r} event: {error}") from error
+        for ids_name, columns in _AXES.items():
+            size = len(getattr(event, ids_name))
+            for name in columns:
+                column = getattr(event, name)
+                if len(column) != size:
+                    raise TraceEventError(
+                        f"malformed {cls.kind!r} event: {name} has "
+                        f"{len(column)} entries for {size} {ids_name}"
+                    )
+        hosts = event.class_node
+        if hosts.size and not (0 <= hosts.min() and hosts.max() < len(event.node_ids)):
+            raise TraceEventError(
+                f"malformed {cls.kind!r} event: class_node points outside node_ids"
+            )
+        return event
+
+    def flatten(self) -> dict[str, Any]:
+        raise TraceEventError(
+            f"a {self.kind!r} record has no single CSV row; expand() it "
+            "into per-resource events first"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColumnarStepEvent):
+            return NotImplemented
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            theirs = getattr(other, spec.name)
+            if isinstance(mine, np.ndarray):
+                if not (
+                    isinstance(theirs, np.ndarray)
+                    and mine.dtype == theirs.dtype
+                    and mine.shape == theirs.shape
+                    and mine.tobytes() == theirs.tobytes()
+                ):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 TraceEvent = Union[
     IterationEvent,
     PriceUpdateEvent,
@@ -323,6 +483,7 @@ TraceEvent = Union[
     AgentExchangeEvent,
     FaultInjectedEvent,
     AgentRestartedEvent,
+    ColumnarStepEvent,
 ]
 
 #: kind tag -> event class, the dispatch table for deserialization.
@@ -337,6 +498,7 @@ EVENT_TYPES: dict[str, type[_Event]] = {
         AgentExchangeEvent,
         FaultInjectedEvent,
         AgentRestartedEvent,
+        ColumnarStepEvent,
     )
 }
 
@@ -352,7 +514,120 @@ def event_from_dict(payload: dict[str, Any]) -> TraceEvent:
     cls = EVENT_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise TraceEventError(f"unknown event type {tag!r}")
+    if cls is ColumnarStepEvent:
+        return ColumnarStepEvent.from_payload(data)
     try:
         return cls(**data)  # type: ignore[return-value]
     except TypeError as error:
         raise TraceEventError(f"malformed {tag!r} event: {error}") from error
+
+
+def expand(event: TraceEvent) -> list[TraceEvent]:
+    """The per-resource events one event stands for, in emission order.
+
+    A :class:`ColumnarStepEvent` becomes the v2 events the vectorized
+    engine emitted before schema v3: per node its ``gamma_step`` (when γ
+    moved) and eq. 12 ``price_update``, then one ``admission`` per node,
+    then one eq. 13 ``price_update`` per link.  Every field equals the v2
+    event's bit for bit; all share the record's ``t_ns``.  Any other
+    event is returned as the only element.
+    """
+    if not isinstance(event, ColumnarStepEvent):
+        return [event]
+    t_ns = event.t_ns
+    node_ids = event.node_ids
+    old_price = event.node_old_price.tolist()
+    new_price = event.node_new_price.tolist()
+    gamma = event.node_gamma.tolist()
+    new_gamma = event.node_new_gamma.tolist()
+    fluctuated = event.node_fluctuated.tolist()
+    used = event.node_used.tolist()
+    capacity = event.node_capacity.tolist()
+    out: list[TraceEvent] = []
+    for b, node in enumerate(node_ids):
+        if not is_zero(new_gamma[b] - gamma[b]):
+            out.append(
+                GammaStepEvent(
+                    resource=node,
+                    old_gamma=gamma[b],
+                    new_gamma=new_gamma[b],
+                    fluctuated=fluctuated[b],
+                    t_ns=t_ns,
+                )
+            )
+        out.append(
+            PriceUpdateEvent(
+                resource_kind="node",
+                resource=node,
+                old_price=old_price[b],
+                new_price=new_price[b],
+                step=gamma[b],
+                branch=event.node_branch[b],
+                t_ns=t_ns,
+                usage=used[b],
+                capacity=capacity[b],
+            )
+        )
+    members: list[list[int]] = [[] for _ in node_ids]
+    for j, b in enumerate(event.class_node.tolist()):
+        members[b].append(j)
+    class_ids = event.class_ids
+    counts = event.populations.tolist()
+    best = event.node_best_ratio.tolist()
+    for b, node in enumerate(node_ids):
+        out.append(
+            AdmissionEvent(
+                node=node,
+                admitted={class_ids[j]: counts[j] for j in members[b]},
+                used=used[b],
+                capacity=capacity[b],
+                best_ratio=best[b],
+                t_ns=t_ns,
+            )
+        )
+    step = event.link_step
+    for link, old, new, usage, cap in zip(
+        event.link_ids,
+        event.link_old_price.tolist(),
+        event.link_new_price.tolist(),
+        event.link_usage.tolist(),
+        event.link_capacity.tolist(),
+    ):
+        out.append(
+            PriceUpdateEvent(
+                resource_kind="link",
+                resource=link,
+                old_price=old,
+                new_price=new,
+                step=step,
+                branch="gradient",
+                t_ns=t_ns,
+                usage=usage,
+                capacity=cap,
+            )
+        )
+    return out
+
+
+def expand_stream(events: Iterable[TraceEvent]) -> Iterator[TraceEvent]:
+    """A stream with every columnar record :func:`expand`-ed in place."""
+    for event in events:
+        yield from expand(event)
+
+
+def select(
+    events: Iterable[TraceEvent], kinds: Collection[str] | None
+) -> Iterator[TraceEvent]:
+    """The events whose kind is in ``kinds``, in order (all when ``None``).
+
+    A columnar record is kept whole when ``columnar_step`` is asked for
+    (or ``kinds`` is ``None``); otherwise it contributes the per-resource
+    events it :func:`expand`-s into whose kind is asked for.
+    """
+    for event in events:
+        if kinds is None or event.kind in kinds:
+            yield event
+        elif isinstance(
+            event, ColumnarStepEvent
+        ) and not ColumnarStepEvent.EXPANDS_TO.isdisjoint(kinds):
+            yield from (item for item in expand(event) if item.kind in kinds)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any, TypeVar
@@ -177,12 +178,8 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         _require_finite(self.name, value)
-        index = len(self._bounds)
-        for position, bound in enumerate(self._bounds):
-            if value <= bound:
-                index = position
-                break
-        self._counts[index] += 1
+        # The first bucket whose bound is >= value; len(bounds) = overflow.
+        self._counts[bisect_left(self._bounds, value)] += 1
         self._count += 1
         self._total += value
         if self._low is None or value < self._low:

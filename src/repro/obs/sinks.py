@@ -7,7 +7,8 @@ A sink is anything with ``emit(event)`` and ``close()``
 * :class:`MemorySink` — buffers events in a list for tests, diagnostics
   and the ``repro stats`` command.
 * :class:`JsonlSink` — one JSON object per line, the lossless archival
-  format (``event_from_dict`` round-trips every type).
+  format (``event_from_dict`` round-trips every type; a columnar
+  record is one line).
 * :class:`CsvSink` — flat tabular export; events are flattened via their
   ``flatten()`` mapping and the column set is the union of observed keys
   (or a caller-pinned ordered list, which is how ``repro.core.trace``
@@ -27,7 +28,13 @@ import json
 from pathlib import Path
 from typing import IO, Any, Iterator, Protocol, runtime_checkable
 
-from repro.obs.events import TraceEvent, TraceEventError, event_from_dict
+from repro.obs.events import (
+    TraceEvent,
+    TraceEventError,
+    event_from_dict,
+    expand,
+    select,
+)
 
 
 @runtime_checkable
@@ -72,8 +79,14 @@ class MemorySink:
         self.events.clear()
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
-        """All buffered events with the given ``kind`` tag, in order."""
-        return [event for event in self.events if event.kind == kind]
+        """All buffered events with the given ``kind`` tag, in order.
+
+        Columnar records count as the per-resource events they
+        :func:`~repro.obs.events.expand` into, so asking a vectorized
+        capture for ``price_update`` (or ``admission``/``gamma_step``)
+        finds them.
+        """
+        return list(select(self.events, (kind,)))
 
 
 class _StreamSink:
@@ -175,6 +188,8 @@ class CsvSink(_StreamSink):
     silently reshuffle a documented format.  ``drop`` removes flattened
     keys before the unknown-key check (``repro.core.trace`` drops the
     ``type``/``t_ns`` envelope to keep its historical column set).
+    A columnar record is written as the rows of the per-resource events
+    it expands into, so v2 and v3 captures of a run render the same CSV.
     """
 
     def __init__(
@@ -191,16 +206,18 @@ class CsvSink(_StreamSink):
         self._rows: list[dict[str, Any]] = []
 
     def emit(self, event: TraceEvent) -> None:
-        row = event.flatten()
-        for key in self._drop:
-            row.pop(key, None)
-        self._rows.append(row)
+        for item in expand(event):
+            row = item.flatten()
+            for key in self._drop:
+                row.pop(key, None)
+            self._rows.append(row)
 
     def _finalize(self) -> None:
         if self._fieldnames is not None:
             header = self._fieldnames
+            pinned = set(header)
             for row in self._rows:
-                unknown = set(row) - set(header)
+                unknown = set(row) - pinned
                 if unknown:
                     raise ValueError(
                         f"event keys {sorted(unknown)} not in pinned CSV "

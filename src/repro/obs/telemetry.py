@@ -9,9 +9,11 @@ its ``emit`` discards, so the uninstrumented fast path stays
 allocation-free (callers guard event *construction* behind
 ``telemetry.enabled``).
 
-Price controllers and γ schedules are instrumented through
-:class:`PriceProbe` — a tiny bound emitter attached per resource, so the
-controllers never learn about problems, node ids or registries.
+The reference engine's price controllers and γ schedules are
+instrumented through :class:`PriceProbe` — a tiny bound emitter attached
+per resource, so the controllers never learn about problems, node ids or
+registries.  The vectorized engine attaches no probes: it emits one
+:class:`~repro.obs.events.ColumnarStepEvent` per iteration instead.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.bench import (
     DEFAULT_THRESHOLD,
+    NOISE_FACTOR,
     collect_metrics,
     compare_snapshots,
     consolidate,
@@ -269,6 +270,68 @@ class TestCompareSnapshots:
         payload = comparison.to_dict()
         assert payload["regressions"][0]["metric"] == "a.speedup"
         json.dumps(payload)
+
+
+class TestNoiseAwareCompare:
+    """A metric archived with a sibling ``<metric>_iqr`` is judged against
+    old median ± k·IQR; one without keeps the flat relative threshold."""
+
+    def test_move_inside_recorded_spread_is_noise(self):
+        # +30% relative, but within 1.5 x IQR of 40: stable.
+        old = snapshot(**{"obs.step_ns": 100.0, "obs.step_ns_iqr": 40.0})
+        new = snapshot(**{"obs.step_ns": 130.0, "obs.step_ns_iqr": 35.0})
+        comparison = compare_snapshots(old, new)
+        assert comparison.regressions == ()
+        assert comparison.stable == 1
+
+    def test_move_outside_recorded_spread_is_flagged(self):
+        # +5% relative, under the flat 10%, but outside 1.5 x IQR of 2.
+        old = snapshot(**{"obs.step_ns": 100.0, "obs.step_ns_iqr": 2.0})
+        new = snapshot(**{"obs.step_ns": 105.0, "obs.step_ns_iqr": 2.0})
+        comparison = compare_snapshots(old, new)
+        (delta,) = comparison.regressions
+        assert delta.name == "obs.step_ns"
+        assert delta.spread == 2.0
+        assert "outside ±1.5 x IQR 2" in render_comparison(comparison)
+        assert comparison.to_dict()["regressions"][0]["spread"] == 2.0
+
+    def test_improvement_outside_spread_is_reported(self):
+        old = snapshot(**{"obs.step_ns": 100.0, "obs.step_ns_iqr": 2.0})
+        new = snapshot(**{"obs.step_ns": 90.0})
+        comparison = compare_snapshots(old, new)
+        assert [d.name for d in comparison.improvements] == ["obs.step_ns"]
+
+    def test_without_spread_the_flat_threshold_applies(self):
+        old = snapshot(**{"obs.step_ns": 100.0, "other.step_ns": 100.0,
+                          "other.step_ns_iqr": 50.0})
+        new = snapshot(**{"obs.step_ns": 105.0, "other.step_ns": 105.0})
+        assert compare_snapshots(old, new).regressions == ()
+        new = snapshot(**{"obs.step_ns": 130.0, "other.step_ns": 130.0})
+        comparison = compare_snapshots(old, new)
+        assert [d.name for d in comparison.regressions] == ["obs.step_ns"]
+        assert comparison.regressions[0].spread is None
+
+    def test_spread_only_in_new_snapshot_is_ignored(self):
+        # A noisy candidate cannot widen its own band: the flat 10% holds.
+        old = snapshot(**{"obs.step_ns": 100.0})
+        new = snapshot(**{"obs.step_ns": 120.0, "obs.step_ns_iqr": 20.0})
+        (delta,) = compare_snapshots(old, new).regressions
+        assert delta.spread is None
+
+    def test_spread_leaves_are_not_metrics(self):
+        old = snapshot(**{"obs.step_ns": 100.0, "obs.step_ns_iqr": 1.0})
+        new = snapshot(**{"obs.step_ns": 100.0, "obs.step_ns_iqr": 9.0})
+        comparison = compare_snapshots(old, new)
+        assert comparison.stable == 1
+        assert comparison.regressions == comparison.changes == ()
+        assert comparison.missing == comparison.added == ()
+
+    def test_band_is_noise_factor_iqrs_wide(self):
+        old = snapshot(**{"obs.step_ns": 100.0, "obs.step_ns_iqr": 10.0})
+        edge = 100.0 + NOISE_FACTOR * 10.0
+        assert compare_snapshots(old, snapshot(**{"obs.step_ns": edge})).regressions == ()
+        beyond = snapshot(**{"obs.step_ns": edge + 1.0})
+        assert len(compare_snapshots(old, beyond).regressions) == 1
 
 
 class TestRenderComparison:

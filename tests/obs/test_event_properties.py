@@ -1,21 +1,24 @@
 """Property tests: every event type survives every sink, exactly.
 
 Hypothesis generates arbitrary well-formed instances of all registered
-``EVENT_TYPES`` — causal/state fields included — and checks that the
-JSONL sink round-trips them bit-for-bit, the memory sink preserves them
-by identity, and the CSV sink renders every flattened cell through the
-one shared formatting rule.  Non-finite floats must be *rejected* at the
-serialization boundary, not smuggled into a capture as ``NaN`` tokens no
-strict JSON parser will read back.
+``EVENT_TYPES`` — causal/state fields and columnar records included — and
+checks that the JSONL sink round-trips them bit-for-bit (a columnar
+record's arrays too), the memory sink preserves them by identity, and the
+CSV sink renders every flattened cell through the one shared formatting
+rule (a columnar record as the rows of its expanded events).  Non-finite
+floats must be *rejected* at the serialization boundary, not smuggled
+into a capture as ``NaN`` tokens no strict JSON parser will read back.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.events import (
@@ -23,6 +26,7 @@ from repro.obs.events import (
     AdmissionEvent,
     AgentExchangeEvent,
     AgentRestartedEvent,
+    ColumnarStepEvent,
     FaultInjectedEvent,
     GammaStepEvent,
     IterationEvent,
@@ -30,6 +34,8 @@ from repro.obs.events import (
     PriceUpdateEvent,
     TraceEventError,
     event_from_dict,
+    expand,
+    expand_stream,
 )
 from repro.obs.sinks import JsonlSink, MemorySink, format_cell, read_jsonl, render_csv
 
@@ -134,6 +140,57 @@ restart_events = st.builds(
     populations=int_maps,
 )
 
+
+
+@st.composite
+def columnar_events(draw):
+    """A well-formed record: every column as long as its vocabulary."""
+    n_nodes = draw(st.integers(min_value=0, max_value=4))
+    n_links = draw(st.integers(min_value=0, max_value=4))
+    n_classes = draw(st.integers(min_value=0, max_value=6)) if n_nodes else 0
+
+    def ids(size):
+        return tuple(draw(st.lists(identifiers, min_size=size, max_size=size, unique=True)))
+
+    def floats(size):
+        return np.array(draw(st.lists(finite, min_size=size, max_size=size)), dtype=np.float64)
+
+    def ints(size, top):
+        values = st.integers(min_value=0, max_value=top)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.int64)
+
+    return ColumnarStepEvent(
+        t_ns=draw(timestamps),
+        node_ids=ids(n_nodes),
+        link_ids=ids(n_links),
+        class_ids=ids(n_classes),
+        node_old_price=floats(n_nodes),
+        node_new_price=floats(n_nodes),
+        node_gamma=floats(n_nodes),
+        node_new_gamma=floats(n_nodes),
+        node_fluctuated=np.array(
+            draw(st.lists(st.booleans(), min_size=n_nodes, max_size=n_nodes)), dtype=np.bool_
+        ),
+        node_branch=tuple(
+            draw(
+                st.lists(
+                    st.sampled_from(["track", "violation"]), min_size=n_nodes, max_size=n_nodes
+                )
+            )
+        ),
+        node_used=floats(n_nodes),
+        node_capacity=floats(n_nodes),
+        node_best_ratio=floats(n_nodes),
+        populations=ints(n_classes, 10**6),
+        class_node=ints(n_classes, max(n_nodes - 1, 0)),
+        link_step=draw(finite),
+        link_old_price=floats(n_links),
+        link_new_price=floats(n_links),
+        link_usage=floats(n_links),
+        link_capacity=floats(n_links),
+    )
+
+
 BY_KIND = {
     "iteration": iteration_events,
     "price_update": price_events,
@@ -143,6 +200,7 @@ BY_KIND = {
     "agent_exchange": exchange_events,
     "fault_injected": fault_events,
     "agent_restarted": restart_events,
+    "columnar_step": columnar_events(),
 }
 
 any_event = st.one_of(*BY_KIND.values())
@@ -192,16 +250,20 @@ def test_memory_sink_preserves_order_and_identity(events):
     for event in events:
         sink.emit(event)
     assert sink.events == events
-    for kind in {event.kind for event in events}:
-        assert sink.of_kind(kind) == [e for e in events if e.kind == kind]
+    # A columnar record stands for the per-resource events it expands to.
+    flat = [item for event in events for item in expand(event)]
+    for kind in {event.kind for event in events + flat}:
+        source = flat if kind in ColumnarStepEvent.EXPANDS_TO else events
+        assert sink.of_kind(kind) == [e for e in source if e.kind == kind]
 
 
 @settings(max_examples=40, deadline=None)
 @given(events=event_batches)
 def test_csv_sink_renders_every_flattened_cell(events):
     rows = list(csv.DictReader(io.StringIO(render_csv(events))))
-    assert len(rows) == len(events)
-    for event, row in zip(events, rows):
+    flat_events = list(expand_stream(events))
+    assert len(rows) == len(flat_events)
+    for event, row in zip(flat_events, rows):
         flat = event.flatten()
         for key, value in flat.items():
             assert row[key] == format_cell(value)
@@ -238,3 +300,94 @@ def test_jsonl_sink_rejects_non_finite_causal_stamps(bad):
     sink = JsonlSink(io.StringIO())
     with pytest.raises(TraceEventError, match="non-finite"):
         sink.emit(event)
+
+
+@settings(max_examples=40, deadline=None)
+@given(record=columnar_events(), bad=non_finite, data=st.data())
+def test_jsonl_sink_rejects_non_finite_columns(record, bad, data):
+    columns = [
+        name
+        for name in ColumnarStepEvent.__dataclass_fields__
+        if isinstance(getattr(record, name), np.ndarray)
+        and getattr(record, name).dtype == np.float64
+        and getattr(record, name).size
+    ]
+    assume(columns)
+    name = data.draw(st.sampled_from(columns))
+    column = getattr(record, name).copy()
+    column[data.draw(st.integers(min_value=0, max_value=column.size - 1))] = bad
+    sink = JsonlSink(io.StringIO())
+    with pytest.raises(TraceEventError, match="non-finite"):
+        sink.emit(dataclasses.replace(record, **{name: column}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=columnar_events())
+def test_columnar_arrays_round_trip_bit_equal(record):
+    buffer = io.StringIO()
+    sink = JsonlSink(buffer)
+    sink.emit(record)
+    (parsed,) = read_jsonl(io.StringIO(buffer.getvalue()))
+    for name in ColumnarStepEvent.__dataclass_fields__:
+        mine, theirs = getattr(record, name), getattr(parsed, name)
+        if isinstance(mine, np.ndarray):
+            assert theirs.dtype == mine.dtype
+            assert theirs.tobytes() == mine.tobytes(), name
+        else:
+            assert theirs == mine, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=columnar_events())
+def test_columnar_expands_node_link_admission_in_engine_order(record):
+    events = expand(record)
+    kinds = [(event.kind, getattr(event, "resource_kind", None)) for event in events]
+    n_nodes, n_links = len(record.node_ids), len(record.link_ids)
+    node_updates = [k for k in kinds if k == ("price_update", "node")]
+    assert len(node_updates) == n_nodes
+    assert kinds.count(("admission", None)) == n_nodes
+    assert kinds[len(kinds) - n_links:] == [("price_update", "link")] * n_links
+    # Node updates (with their γ steps) come first, then admissions.
+    first_admission = kinds.index(("admission", None)) if n_nodes else len(kinds) - n_links
+    assert all(k[0] != "admission" for k in kinds[:first_admission])
+    assert all(event.t_ns == record.t_ns for event in events)
+    admitted = {}
+    for event in events:
+        if isinstance(event, AdmissionEvent):
+            admitted.update(event.admitted)
+    assert admitted == dict(zip(record.class_ids, record.populations.tolist()))
+
+
+def test_columnar_payload_length_mismatch_is_rejected():
+    record = ColumnarStepEvent(
+        t_ns=1,
+        node_ids=("S",),
+        link_ids=(),
+        class_ids=("c",),
+        node_old_price=np.array([0.0]),
+        node_new_price=np.array([0.5]),
+        node_gamma=np.array([0.1]),
+        node_new_gamma=np.array([0.1]),
+        node_fluctuated=np.array([False]),
+        node_branch=("track",),
+        node_used=np.array([1.0]),
+        node_capacity=np.array([2.0]),
+        node_best_ratio=np.array([0.5]),
+        populations=np.array([3]),
+        class_node=np.array([0]),
+        link_step=0.01,
+        link_old_price=np.zeros(0),
+        link_new_price=np.zeros(0),
+        link_usage=np.zeros(0),
+        link_capacity=np.zeros(0),
+    )
+    payload = record.to_dict()
+    assert event_from_dict(payload) == record
+    with pytest.raises(TraceEventError, match="node_used"):
+        event_from_dict({**payload, "node_used": [1.0, 2.0]})
+    with pytest.raises(TraceEventError, match="class_node"):
+        event_from_dict({**payload, "class_node": [1]})
+    with pytest.raises(TraceEventError, match="malformed"):
+        event_from_dict({key: value for key, value in payload.items() if key != "link_step"})
+    with pytest.raises(TraceEventError, match="expand"):
+        record.flatten()

@@ -1,8 +1,10 @@
 """Tests for typed trace events: serialization and flattening."""
 
+import dataclasses
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.obs.events import (
@@ -11,6 +13,7 @@ from repro.obs.events import (
     AdmissionEvent,
     AgentExchangeEvent,
     AgentRestartedEvent,
+    ColumnarStepEvent,
     FaultInjectedEvent,
     GammaStepEvent,
     IterationEvent,
@@ -18,7 +21,9 @@ from repro.obs.events import (
     PriceUpdateEvent,
     TraceEventError,
     event_from_dict,
+    expand,
     now_ns,
+    select,
 )
 from repro.obs.sinks import JsonlSink, read_jsonl
 
@@ -96,6 +101,28 @@ def sample_events():
             price=0.25,
             populations={"ca": 5},
         ),
+        ColumnarStepEvent(
+            t_ns=1000,
+            node_ids=("S",),
+            link_ids=("l1",),
+            class_ids=("ca", "cb"),
+            node_old_price=np.array([0.1]),
+            node_new_price=np.array([0.2]),
+            node_gamma=np.array([0.1]),
+            node_new_gamma=np.array([0.05]),
+            node_fluctuated=np.array([True]),
+            node_branch=("violation",),
+            node_used=np.array([210.0]),
+            node_capacity=np.array([200.0]),
+            node_best_ratio=np.array([1.5]),
+            populations=np.array([5, 0]),
+            class_node=np.array([0, 0]),
+            link_step=0.01,
+            link_old_price=np.array([-0.0]),
+            link_new_price=np.array([0.0]),
+            link_usage=np.array([80.0]),
+            link_capacity=np.array([100.0]),
+        ),
     ]
 
 
@@ -141,6 +168,84 @@ class TestErrors:
             event_from_dict({"type": "gamma_step", "nonsense": 1})
 
 
+class TestColumnarExpand:
+    def test_record_expands_to_the_v2_events_it_replaces(self):
+        record = sample_events()[-1]
+        assert expand(record) == [
+            GammaStepEvent(
+                resource="S", old_gamma=0.1, new_gamma=0.05, fluctuated=True, t_ns=1000
+            ),
+            PriceUpdateEvent(
+                resource_kind="node",
+                resource="S",
+                old_price=0.1,
+                new_price=0.2,
+                step=0.1,
+                branch="violation",
+                t_ns=1000,
+                usage=210.0,
+                capacity=200.0,
+            ),
+            AdmissionEvent(
+                node="S",
+                admitted={"ca": 5, "cb": 0},
+                used=210.0,
+                capacity=200.0,
+                best_ratio=1.5,
+                t_ns=1000,
+            ),
+            PriceUpdateEvent(
+                resource_kind="link",
+                resource="l1",
+                old_price=-0.0,
+                new_price=0.0,
+                step=0.01,
+                branch="gradient",
+                t_ns=1000,
+                usage=80.0,
+                capacity=100.0,
+            ),
+        ]
+
+    def test_unmoved_gamma_emits_no_gamma_step(self):
+        record = dataclasses.replace(
+            sample_events()[-1], node_new_gamma=np.array([0.1])
+        )
+        assert [event.kind for event in expand(record)] == [
+            "price_update", "admission", "price_update",
+        ]
+
+    def test_other_events_expand_to_themselves(self):
+        for event in sample_events()[:-1]:
+            assert expand(event) == [event]
+
+    def test_record_arrays_compare_bit_for_bit(self):
+        record = sample_events()[-1]
+        positive_zero = dataclasses.replace(record, link_old_price=np.array([0.0]))
+        assert record == sample_events()[-1]
+        assert record != positive_zero
+
+
+class TestSelect:
+    def test_unfiltered_keeps_records_whole(self):
+        events = sample_events()
+        assert list(select(events, None)) == events
+
+    def test_per_resource_kinds_see_through_records(self):
+        events = sample_events()
+        record = events[-1]
+        selected = list(select(events, {"admission", "gamma_step"}))
+        expected = [e for e in events[:-1] if e.kind in {"admission", "gamma_step"}]
+        expected += [e for e in expand(record) if e.kind in {"admission", "gamma_step"}]
+        assert selected == expected
+
+    def test_columnar_kind_keeps_records_whole(self):
+        events = sample_events()
+        assert list(select(events, {"columnar_step", "price_update"})) == [
+            e for e in events if e.kind in {"columnar_step", "price_update"}
+        ]
+
+
 class TestFlatten:
     def test_iteration_flatten_uses_documented_prefixes(self):
         flat = sample_events()[0].flatten()
@@ -183,12 +288,45 @@ class TestFlatten:
 
 
 class TestSchemaVersioning:
-    """v2 captures carry causal/state fields; v1 captures must still parse."""
+    """v2 captures carry causal/state fields; v3 adds columnar records.
+    v1 and v2 captures must still parse."""
 
     V1_FIXTURE = FIXTURES / "trace_v1.jsonl"
+    #: The vectorized engine's per-resource stream before schema v3:
+    #: ``bottleneck``, adaptive γ, 6 iterations, ``t_ns`` renumbered.
+    V2_FIXTURE = FIXTURES / "trace_v2.jsonl"
 
-    def test_schema_version_is_two(self):
-        assert TRACE_SCHEMA_VERSION == 2
+    def test_schema_version_is_three(self):
+        assert TRACE_SCHEMA_VERSION == 3
+
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_FIXTURE], ids=["v1", "v2"])
+    def test_older_fixtures_parse_under_v3(self, fixture):
+        events = list(read_jsonl(fixture))
+        assert events
+        for event in events:
+            assert event.kind in EVENT_TYPES
+            assert event_from_dict(event.to_dict()) == event
+        assert not [event for event in events if event.kind == "columnar_step"]
+
+    def test_v2_fixture_is_the_expanded_v3_stream(self):
+        """Today's columnar capture of the same run expands to the
+        checked-in v2 per-resource stream, field for field but ``t_ns``."""
+        from repro import LRGP, LRGPConfig, Telemetry
+        from repro.obs import expand_stream
+        from repro.workloads.registry import workload_from_spec
+
+        telemetry = Telemetry()
+        config = LRGPConfig.adaptive(engine="vectorized", telemetry=telemetry)
+        LRGP(workload_from_spec("bottleneck"), config).run(6)
+        kinds = {event.kind for event in telemetry.sink.events}
+        assert kinds == {"columnar_step", "iteration"}
+
+        def untimed(events):
+            return [{**event.to_dict(), "t_ns": 0} for event in events]
+
+        expected = untimed(read_jsonl(self.V2_FIXTURE))
+        assert "gamma_step" in {event["type"] for event in expected}
+        assert untimed(expand_stream(telemetry.sink.events)) == expected
 
     def test_v1_fixture_parses_into_typed_events(self):
         events = list(read_jsonl(self.V1_FIXTURE))

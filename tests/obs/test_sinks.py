@@ -53,6 +53,29 @@ class TestMemorySink:
         sink.clear()
         assert sink.events == []
 
+    def test_of_kind_sees_through_columnar_records(self):
+        """A vectorized capture holds columnar records, yet asking it for
+        per-resource kinds must not come back quietly empty."""
+        from repro import LRGP, LRGPConfig, Telemetry
+        from repro.workloads.registry import workload_from_spec
+
+        problem = workload_from_spec("bottleneck")
+        captured = {}
+        for engine in ("vectorized", "reference"):
+            telemetry = Telemetry()
+            config = LRGPConfig.adaptive(engine=engine, telemetry=telemetry)
+            LRGP(problem, config).run(8)
+            captured[engine] = telemetry.sink
+        sink = captured["vectorized"]
+        assert len(sink.of_kind("columnar_step")) == 8
+        for kind in ("price_update", "admission", "gamma_step"):
+            found = sink.of_kind(kind)
+            assert found, kind
+            assert len(found) == len(captured["reference"].of_kind(kind)), kind
+        assert {event.resource_kind for event in sink.of_kind("price_update")} == {
+            "node", "link",
+        }
+
     def test_null_sink_discards(self):
         NULL_SINK.emit(iteration(1))
         NULL_SINK.close()
@@ -193,6 +216,17 @@ class TestCsvSink:
         backward = render(("rate:fa", "t_ns", "type", "t_ns"))  # dupes too
         assert forward == backward
         assert CsvSink(io.StringIO(), drop=("b", "a", "b"))._drop == ("a", "b")
+
+    def test_columnar_record_renders_as_its_expanded_rows(self):
+        from repro import LRGP, LRGPConfig, Telemetry
+        from repro.obs import expand_stream
+        from repro.workloads.registry import workload_from_spec
+
+        telemetry = Telemetry()
+        config = LRGPConfig(engine="vectorized", telemetry=telemetry)
+        LRGP(workload_from_spec("bottleneck"), config).run(5)
+        events = telemetry.sink.events
+        assert render_csv(events) == render_csv(list(expand_stream(events)))
 
     def test_writes_file_and_close_is_idempotent(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -169,6 +169,27 @@ class TestStatsCommand:
         ) == 0
         assert "runtime.sync.rounds: 30" in capsys.readouterr().out
 
+    def test_vectorized_engine_matches_reference_diagnostics(self, capsys):
+        from repro.utility.tolerance import ENGINE_EQUIVALENCE_RTOL
+
+        resources = {}
+        for engine in ("reference", "vectorized"):
+            assert main(
+                ["stats", "flows-x4", "--engine", engine, "--format", "json"]
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["engine"] == engine
+            resources[engine] = payload["diagnostics"]["resources"]
+        reference, vectorized = resources["reference"], resources["vectorized"]
+        assert reference and vectorized.keys() == reference.keys()
+        for name, want in reference.items():
+            got = vectorized[name]
+            assert got["updates"] == want["updates"], name
+            assert got["oscillations"] == want["oscillations"], name
+            assert got["final_price"] == pytest.approx(
+                want["final_price"], rel=ENGINE_EQUIVALENCE_RTOL
+            ), name
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         assert main(
@@ -285,6 +306,30 @@ class TestTraceCommand:
         assert all(record["trace_id"] == "sync-micro" for record in records)
         assert all(record["span_id"].startswith("s") for record in records)
 
+    def test_vectorized_capture_is_columnar(self, tmp_path, capsys):
+        from repro.obs import ColumnarStepEvent, read_jsonl
+
+        path = tmp_path / "trace.jsonl"
+        assert main(
+            ["trace", "run", "bottleneck", "--engine", "vectorized",
+             "--iterations", "4", "-o", str(path)]
+        ) == 0
+        assert "8 event(s) written" in capsys.readouterr().out
+        events = list(read_jsonl(path))
+        assert sum(isinstance(event, ColumnarStepEvent) for event in events) == 4
+
+    def test_vectorized_kind_filter_expands_records(self, capsys):
+        assert main(
+            ["trace", "run", "bottleneck", "--engine", "vectorized",
+             "--iterations", "3", "--events", "price_update"]
+        ) == 0
+        records = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        # Two nodes and one link per iteration.
+        assert len(records) == 9
+        assert {record["type"] for record in records} == {"price_update"}
+
     def test_gzip_capture_requires_output_file(self):
         with pytest.raises(SystemExit, match="requires -o"):
             main(["trace", "micro", "--gzip"])
@@ -321,6 +366,27 @@ class TestTraceShowCommand:
         assert "iteration" in out
         assert "message" in out
         assert "->" in out  # message lines show sender -> recipient
+
+    def test_columnar_capture_shows_as_per_resource_lines(
+        self, tmp_path, capsys
+    ):
+        captures = {}
+        for engine in ("vectorized", "reference"):
+            path = tmp_path / f"{engine}.jsonl"
+            assert main(
+                ["trace", "run", "bottleneck", "--engine", engine,
+                 "--iterations", "3", "-o", str(path)]
+            ) == 0
+            capsys.readouterr()
+            captures[engine] = str(path)
+        shown = {}
+        for engine, path in captures.items():
+            assert main(
+                ["trace", "show", path, "--type", "price_update,admission"]
+            ) == 0
+            shown[engine] = sorted(capsys.readouterr().out.splitlines())
+        assert len(shown["vectorized"]) == 15  # (2 nodes x 2 + 1 link) x 3
+        assert shown["vectorized"] == shown["reference"]
 
     def test_type_filter(self, capture_path, capsys):
         assert main(["trace", "show", capture_path, "--type", "iteration"]) == 0
@@ -435,6 +501,20 @@ class TestBenchCommands:
         out = capsys.readouterr().out
         assert "1 regression(s)" in out
         assert "engines.speedup" in out
+
+    def test_compare_judges_a_recorded_spread(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps({"metrics": {"obs.step_ns": 100.0,
+                                               "obs.step_ns_iqr": 4.0}}))
+        # +8%: under the flat 10%, but outside 1.5 x IQR 4.
+        new.write_text(json.dumps({"metrics": {"obs.step_ns": 108.0}}))
+        assert main(["bench", "compare", str(old), str(new)]) == 0
+        assert "1 regression(s)" in capsys.readouterr().out
+        # +5%: inside the band.
+        new.write_text(json.dumps({"metrics": {"obs.step_ns": 105.0}}))
+        assert main(["bench", "compare", str(old), str(new)]) == 0
+        assert "0 regression(s)" in capsys.readouterr().out
 
     def test_strict_mode_fails_on_regressions(self, tmp_path, capsys):
         old = tmp_path / "old.json"
