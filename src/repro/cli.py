@@ -146,30 +146,6 @@ from repro.workloads.registry import (
     workload_from_spec,
 )
 
-#: The historical CLI workload table, kept as a compatibility view onto
-#: the registry (every name here is a registered workload or alias; the
-#: pre-registry spellings warn on use).  New code should call
-#: :func:`repro.workloads.get_workload` / pass registry specs instead.
-BUILTIN_WORKLOADS = {
-    name: (lambda name=name: workload_from_spec(name))
-    for name in (
-        "base",
-        "base-pow25",
-        "base-pow50",
-        "base-pow75",
-        "flows-x2",
-        "flows-x4",
-        "cnodes-x2",
-        "cnodes-x4",
-        "cnodes-x8",
-        "trade-data",
-        "latest-price",
-        "link-bottleneck",
-        "tree",
-        "micro",
-    )
-}
-
 
 def load_problem(spec: str) -> Problem:
     """Resolve a workload spec: ``NAME[:k=v,...]`` (registry name or

@@ -14,9 +14,9 @@ runs every LRGP iteration as batched array ops (:class:`VectorizedEngine`):
   closed-form argmax per utility family: all-log flows via
   ``sum(n*scale)/price - offset``, all-power flows via the collapsed
   inverse derivative.  Flows whose classes mix shapes (or use a shape with
-  no closed form) fall back to a bracketed numeric bisection — the
-  *fallback column* — which matches the reference root finder within its
-  tolerance.
+  no closed form) fall back to the reference's own solver,
+  :func:`repro.utility.calculus.solve_rate` — the *fallback column* — so
+  they get the same float as the reference engine.
 * **Consumer allocation** (Algorithm 2, eq. 10-11) — benefit/cost ratios
   for all classes at once.  Nodes whose budget covers every class admit
   them all without ordering anything.  The chargeable classes of the
@@ -69,6 +69,7 @@ from repro.model.entities import ClassId, FlowId, LinkId, NodeId
 from repro.model.problem import Problem
 from repro.obs.events import ColumnarStepEvent, now_ns
 from repro.utility.base import UtilityFunction
+from repro.utility.calculus import solve_rate
 from repro.utility.functions import LogUtility, PowerUtility, ScaledUtility
 from repro.utility.tolerance import close_enough, is_zero
 
@@ -85,12 +86,6 @@ _NO_LINKS: FloatArray = np.zeros(0, dtype=np.float64)
 FAMILY_LOG = 0
 FAMILY_POW = 1
 FAMILY_GENERIC = 2
-
-#: Bisection tolerances for the fallback column, matching the reference
-#: root finder (``repro.utility.calculus``).
-_BISECT_XTOL = 1e-10
-_BISECT_RTOL = 1e-12
-_BISECT_MAX_ITER = 200
 
 
 def _classify(
@@ -672,8 +667,19 @@ class VectorizedEngine(LRGPEngine):
         self._pow_inverse_exponent = np.where(
             pow_flows, 1.0 / (compiled.flow_exponent - 1.0), 0.0
         )
-        self._generic_flow_positions = [
-            int(i) for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0]
+        # Fallback column: per generic flow, its bounds and its classes
+        # (position, utility) in class-id order, the reference's term order.
+        self._generic_flows = [
+            (
+                int(i),
+                float(compiled.rate_min[i]),
+                float(compiled.rate_max[i]),
+                [
+                    (int(j), compiled.utilities[int(j)])
+                    for j in np.nonzero(compiled.class_flow == i)[0]
+                ],
+            )
+            for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0]
         ]
         # The class axis grouped by node for the BC(b,t) reduceat; every
         # consumer node hosts a class, so no segment is empty.
@@ -809,7 +815,8 @@ class VectorizedEngine(LRGPEngine):
         the closed forms per family clamped to the rate bounds — equivalent
         to the reference's explicit boundary-derivative checks because the
         objective's derivative is strictly decreasing.  Flows marked generic
-        go through the bisection fallback.
+        go through :func:`~repro.utility.calculus.solve_rate`, the
+        reference's solver, on the reference's terms.
         """
         compiled = self.compiled
         n_flows = len(compiled.flow_ids)
@@ -850,47 +857,10 @@ class VectorizedEngine(LRGPEngine):
         else:
             rates = boundary
 
-        for i in self._generic_flow_positions:
-            if interior[i]:
-                rates[i] = self._solve_generic(i, float(prices[i]), populations)
+        for i, rate_min, rate_max, classes in self._generic_flows:
+            terms = [(float(populations[j]), utility) for j, utility in classes]
+            rates[i] = solve_rate(terms, float(prices[i]), rate_min, rate_max)
         return np.asarray(rates, dtype=np.float64)
-
-    def _solve_generic(
-        self, flow_pos: int, price: float, populations: FloatArray
-    ) -> float:
-        """The fallback column: bracketed bisection on the eq. 7 derivative.
-
-        Triggered for flows whose classes mix utility shapes (or use a shape
-        outside the log/power families).  Matches the reference solver's
-        bracketing semantics: boundary optima are resolved before bisecting.
-        """
-        compiled = self.compiled
-        lo = float(compiled.rate_min[flow_pos])
-        hi = float(compiled.rate_max[flow_pos])
-        terms = [
-            (float(populations[j]), compiled.utilities[int(j)])
-            for j in np.nonzero(compiled.class_flow == flow_pos)[0]
-            if populations[j] > 0.0
-        ]
-
-        def derivative(rate: float) -> float:
-            return sum(weight * utility.derivative(rate) for weight, utility in terms)
-
-        if derivative(hi) >= price:
-            return hi
-        if derivative(lo) <= price:
-            return lo
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if derivative(mid) > price:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_XTOL + _BISECT_RTOL * abs(mid):
-                break
-        return 0.5 * (lo + hi)
 
     # -- consumer allocation ---------------------------------------------------
 

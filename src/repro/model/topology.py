@@ -2,10 +2,13 @@
 
 The paper assumes each flow has a given dissemination path (section 5:
 "Our optimization algorithm assumes all the flows have a given path").
-This module builds those paths: it wraps a directed overlay graph
-(:mod:`networkx`) and computes, for each flow, a dissemination *tree* from
-the flow's source to the nodes hosting its consumer classes, recorded as a
-:class:`repro.model.entities.Route`.
+This module builds those paths: it keeps a directed overlay as a successor
+map (``tail -> head -> link id``, in link insertion order) and computes,
+for each flow, a dissemination *tree* from the flow's source to the nodes
+hosting its consumer classes, recorded as a
+:class:`repro.model.entities.Route`.  Paths are hop-count shortest paths
+found by a breadth-first search that keeps the first-discovered parent, so
+ties between equal-hop paths go to the earliest-inserted link.
 
 For the paper's evaluation workloads links are never bottlenecks
 (section 4.1), so workload builders may use :func:`star_overlay` with
@@ -17,8 +20,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-
-import networkx as nx
 
 from repro.model.entities import Link, LinkId, Node, NodeId, Route
 
@@ -33,19 +34,20 @@ class Overlay:
     def __init__(self, nodes: Iterable[Node], links: Iterable[Link]) -> None:
         self._nodes = {n.node_id: n for n in nodes}
         self._links = {l.link_id: l for l in links}
-        self._graph = nx.DiGraph()
-        for node in self._nodes.values():
-            self._graph.add_node(node.node_id)
+        self._successors: dict[NodeId, dict[NodeId, LinkId]] = {
+            node_id: {} for node_id in self._nodes
+        }
         for link in self._links.values():
             if link.tail not in self._nodes or link.head not in self._nodes:
                 raise RoutingError(
                     f"link {link.link_id} references nodes outside the overlay"
                 )
-            if self._graph.has_edge(link.tail, link.head):
+            heads = self._successors[link.tail]
+            if link.head in heads:
                 raise RoutingError(
                     f"parallel link between {link.tail} and {link.head}"
                 )
-            self._graph.add_edge(link.tail, link.head, link_id=link.link_id)
+            heads[link.head] = link.link_id
 
     @property
     def nodes(self) -> Mapping[NodeId, Node]:
@@ -57,17 +59,35 @@ class Overlay:
 
     def shortest_path(self, source: NodeId, target: NodeId) -> list[NodeId]:
         """Hop-count shortest path, raising :class:`RoutingError` when
-        disconnected."""
-        try:
-            return nx.shortest_path(self._graph, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise RoutingError(f"no path from {source} to {target}") from exc
+        disconnected.
+
+        Breadth-first from ``source``; each node keeps the first parent that
+        reaches it, so equal-hop ties go to the earliest-inserted link.
+        """
+        if source not in self._nodes or target not in self._nodes:
+            raise RoutingError(f"no path from {source} to {target}")
+        parent: dict[NodeId, NodeId | None] = {source: None}
+        frontier = [source]
+        while frontier and target not in parent:
+            next_frontier = []
+            for tail in frontier:
+                for head in self._successors[tail]:
+                    if head not in parent:
+                        parent[head] = tail
+                        next_frontier.append(head)
+            frontier = next_frontier
+        if target not in parent:
+            raise RoutingError(f"no path from {source} to {target}")
+        path = [target]
+        while (step := parent[path[-1]]) is not None:
+            path.append(step)
+        return path[::-1]
 
     def link_between(self, tail: NodeId, head: NodeId) -> LinkId:
-        data = self._graph.get_edge_data(tail, head)
-        if data is None:
-            raise RoutingError(f"no link from {tail} to {head}")
-        return data["link_id"]
+        try:
+            return self._successors[tail][head]
+        except KeyError:
+            raise RoutingError(f"no link from {tail} to {head}") from None
 
     def dissemination_route(self, source: NodeId, targets: Sequence[NodeId]) -> Route:
         """Build the dissemination tree of a flow as a :class:`Route`.

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every existing entry (layout or semantics change).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 def cache_salt() -> dict[str, Any]:

@@ -19,7 +19,10 @@ is strictly decreasing and the maximizer is unique:
 This module provides the generic bracketed root finder plus fast paths for
 single-term objectives with closed-form inverse derivatives (which cover the
 paper's workloads: every class on a flow shares a shape, so the weighted sum
-collapses to one scaled utility).
+collapses to one scaled utility).  It is the only eq. 7 solver: the
+reference engine calls it per flow, and the vectorized engine calls it for
+the flows its batched closed forms do not cover, so both engines return the
+same float for the same terms and price.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from scipy.optimize import brentq
-
 from repro.utility.base import UtilityFunction
 from repro.utility.functions import LogUtility, PowerUtility
 
-#: Relative tolerance for the bracketed root search.
-_BRENTQ_XTOL = 1e-10
-_BRENTQ_RTOL = 1e-12
+#: Bisection stops once the bracket is narrower than
+#: ``_ROOT_XTOL + _ROOT_RTOL * |midpoint|``.
+_ROOT_XTOL = 1e-10
+_ROOT_RTOL = 1e-12
 
 
 def weighted_value(
@@ -134,12 +136,21 @@ def solve_rate(
     if closed is not None:
         return min(max(closed, rate_min), rate_max)
 
-    def slope(rate: float) -> float:
-        return weighted_derivative(active, rate) - price
-
-    return float(
-        brentq(slope, rate_min, rate_max, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
-    )
+    # Bisection on the strictly decreasing derivative.  The boundary checks
+    # above bracket the root; the loop also ends when the midpoint can no
+    # longer split the bracket in floating point.
+    low, high = rate_min, rate_max
+    while True:
+        mid = 0.5 * (low + high)
+        if not low < mid < high:
+            break
+        if weighted_derivative(active, mid) > price:
+            low = mid
+        else:
+            high = mid
+        if high - low <= _ROOT_XTOL + _ROOT_RTOL * abs(mid):
+            break
+    return 0.5 * (low + high)
 
 
 def numeric_derivative(

@@ -10,8 +10,10 @@ from repro.core.compiled import (
     FAMILY_LOG,
     FAMILY_POW,
     CompiledProblem,
+    VectorizedEngine,
     compile_problem,
 )
+from repro.core.lrgp import LRGPConfig
 from repro.model.allocation import (
     Allocation,
     link_usage,
@@ -19,10 +21,12 @@ from repro.model.allocation import (
     total_utility,
 )
 from repro.model.problem import Problem, build_problem
+from repro.utility.calculus import solve_rate, weighted_derivative
 from repro.utility.functions import LogUtility, PowerUtility, UtilityFunction
 from repro.workloads.base import base_workload
 from repro.workloads.micro import micro_workload
 from repro.workloads.registry import workload_from_spec
+from tests.conftest import mixed_shapes
 
 
 def replace_class_utility(
@@ -184,6 +188,34 @@ class TestFamilyClassification:
         c = compile_problem(shifted)
         assert c.flow_family[c.flow_ids.index("fa")] == FAMILY_GENERIC
         assert c.flow_family[c.flow_ids.index("fb")] == FAMILY_LOG
+
+
+class TestGenericColumn:
+    def test_generic_rate_is_solve_rate_on_the_same_terms(self):
+        """The fallback column returns ``solve_rate``'s float exactly."""
+        engine = VectorizedEngine(mixed_shapes(base_workload()), LRGPConfig())
+        c = engine.compiled
+        generic = np.nonzero(c.flow_family == FAMILY_GENERIC)[0]
+        assert generic.size
+        rng = np.random.default_rng(11)
+        populations = rng.integers(1, c.max_consumers + 1).astype(np.float64)
+        targets = rng.uniform(c.rate_min, c.rate_max)
+        prices = np.empty(c.n_flows)
+        terms = {}
+        for i in range(c.n_flows):
+            terms[i] = [
+                (float(populations[j]), c.utilities[j])
+                for j in np.nonzero(c.class_flow == i)[0]
+            ]
+            # A price whose eq. 7 optimum is the interior target rate.
+            prices[i] = weighted_derivative(terms[i], float(targets[i]))
+        rates = engine._solve_rates(prices, populations)
+        for i in generic:
+            expected = solve_rate(
+                terms[i], float(prices[i]), float(c.rate_min[i]), float(c.rate_max[i])
+            )
+            assert c.rate_min[i] < expected < c.rate_max[i]
+            assert rates[i] == expected
 
 
 class TestLoweredAccounting:

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.core.compiled import FAMILY_GENERIC, compile_problem
 from repro.core.consumer_allocation import allocate_consumers
 from repro.core.engines import (
     _ENGINES,
@@ -27,6 +28,7 @@ from repro.workloads.base import base_workload
 from repro.workloads.bottleneck import link_bottleneck_workload
 from repro.workloads.micro import micro_workload
 from repro.workloads.scaling import scale_flows
+from tests.conftest import mixed_shapes
 
 #: The equivalence matrix: every workload family the paper evaluates.
 EQUIVALENCE_WORKLOADS = {
@@ -178,6 +180,38 @@ class TestTrajectoryEquivalence:
         reference.run(80)
         vectorized.run(80)
         assert_trajectories_match(reference, vectorized)
+
+
+class TestMixedShapeEquivalence:
+    """Generic flows: both engines solve eq. 7 with the one shared
+    :func:`~repro.utility.calculus.solve_rate`, so on workloads whose flows
+    mix power, exponential-saturation and log classes the vectorized
+    engine admits the reference's populations and sends its rates at
+    every iteration."""
+
+    WORKLOADS = {
+        "base": base_workload,
+        "flows-x4": lambda: scale_flows(4),
+        "bottleneck": lambda: link_bottleneck_workload(100.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_200_iterations_match_reference(self, name):
+        problem = mixed_shapes(self.WORKLOADS[name]())
+        compiled = compile_problem(problem)
+        assert (compiled.flow_family == FAMILY_GENERIC).sum() >= len(problem.flows) // 2
+        config = LRGPConfig(record_snapshots=True)
+        reference = LRGP(problem, config, engine="reference")
+        vectorized = LRGP(problem, config, engine="vectorized")
+        reference.run(200)
+        vectorized.run(200)
+        for ref, vec in zip(reference.records, vectorized.records):
+            assert vec.populations == ref.populations, f"iteration {ref.iteration}"
+            assert vec.rates.keys() == ref.rates.keys()
+            for flow_id, rate in ref.rates.items():
+                assert vec.rates[flow_id] == pytest.approx(rate, rel=1e-15, abs=0.0), (
+                    f"rate of {flow_id} diverged at iteration {ref.iteration}"
+                )
 
 
 class TestLayoutEquivalence:

@@ -113,6 +113,21 @@ class TestCorruptionRecovery:
         cache.path_for(key).write_text(json.dumps(entry))
         assert cache.get(key) is None
 
+    def test_schema_1_entry_is_a_miss(self, cache, monkeypatch):
+        """Schema 2 retired the entries solved with the reference engine's
+        former root finder, whose generic-flow rates differ in the last
+        digits."""
+        import repro.sweep.cache as cache_module
+
+        assert CACHE_SCHEMA_VERSION == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 1)
+            old_key = cache.key_for(CONFIG)
+            cache.put(old_key, CONFIG, PAYLOAD)
+        assert cache.key_for(CONFIG) != old_key
+        assert cache.get(cache.key_for(CONFIG)) is None
+        assert cache.get(old_key) is None  # its salt says schema 1
+
     def test_non_dict_payload_is_a_miss(self, cache):
         key = cache.key_for(CONFIG)
         cache.put(key, CONFIG, PAYLOAD)

@@ -4,14 +4,24 @@ import json
 
 import pytest
 
-from repro.cli import BUILTIN_WORKLOADS, load_problem, main
+from repro.cli import load_problem, main
 from repro.model.serialization import allocation_from_json, problem_from_json
+from repro.workloads.registry import (
+    entry_for,
+    format_workload_spec,
+    list_aliases,
+    list_workloads,
+)
 
 
 class TestLoadProblem:
     def test_every_builtin_loads(self):
-        for name in BUILTIN_WORKLOADS:
-            problem = load_problem(name)
+        specs = [
+            format_workload_spec(name, entry_for(name).defaults)
+            for name in list_workloads()
+        ]
+        for spec in (*specs, *list_aliases()):
+            problem = load_problem(spec)
             assert problem.flows
 
     def test_json_path_loads(self, tmp_path):
@@ -752,10 +762,9 @@ class TestWorkloadSpecConvention:
         data = json.loads(capsys.readouterr().out)
         assert data["version"] == 1
 
-    def test_deprecated_spelling_still_reachable(self, capsys):
-        with pytest.warns(DeprecationWarning, match="base:shape=pow50"):
-            assert main(["optimize", "base-pow50", "--iterations", "30"]) == 0
-        assert "utility:" in capsys.readouterr().out
+    def test_retired_spelling_is_unknown(self):
+        with pytest.raises(SystemExit, match="unknown workload 'base-pow50'"):
+            main(["optimize", "base-pow50", "--iterations", "30"])
 
     def test_workload_list_shows_registry_and_aliases(self, capsys):
         assert main(["workload", "--list"]) == 0

@@ -5,7 +5,11 @@ README through ``import repro`` — this pins that surface so refactors
 cannot silently break it.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -88,32 +92,28 @@ class TestTopLevelExports:
         assert by_name.describe() == by_spec.describe()
 
     def test_package_ships_type_marker(self):
-        from pathlib import Path
-
         package_dir = Path(repro.__file__).parent
         assert (package_dir / "py.typed").exists()
 
 
 class TestDeprecatedWorkloadSpellings:
-    """The pre-registry names keep working, but only under a warning."""
+    """The pre-registry names are retired: each fails with the registry's
+    unknown-workload error, and its replacement spec builds silently."""
 
-    DEPRECATED = {
-        "base-pow25": "base:shape=pow25",
-        "base-pow50": "base:shape=pow50",
-        "base-pow75": "base:shape=pow75",
-        "link-bottleneck": "bottleneck",
-    }
-
-    @pytest.mark.parametrize(
-        ("old", "replacement"), sorted(DEPRECATED.items())
-    )
-    def test_old_spelling_warns_and_still_builds(self, old, replacement):
-        with pytest.warns(DeprecationWarning, match=replacement):
-            problem = repro.workload_from_spec(old)
+    @staticmethod
+    def _assert_retired(old, replacement):
+        with pytest.raises(KeyError, match=f"unknown workload {old!r}"):
+            repro.workload_from_spec(old)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            canonical = repro.workload_from_spec(replacement)
-        assert problem.describe() == canonical.describe()
+            assert repro.workload_from_spec(replacement).flows
+
+    def test_retired_base_shape_spellings_are_unknown(self):
+        for shape in ("pow25", "pow50", "pow75"):
+            self._assert_retired(f"base-{shape}", f"base:shape={shape}")
+
+    def test_retired_link_bottleneck_spelling_is_unknown(self):
+        self._assert_retired("link-bottleneck", "bottleneck")
 
     def test_stable_names_do_not_warn(self):
         with warnings.catch_warnings():
@@ -157,3 +157,36 @@ class TestSubpackageImports:
             assert module.__doc__
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestImportFootprint:
+    """``import repro`` loads neither scipy nor a graph library: routing is
+    a stdlib BFS and scipy loads only when the ``coordinate`` baseline
+    runs.  Checked in a fresh interpreter, since this process has long
+    since imported everything."""
+
+    SCRIPT = """
+import sys
+
+import repro
+
+loaded = sorted(m for m in ("scipy", "networkx") if m in sys.modules)
+assert not loaded, f"import repro loaded {loaded}"
+result = repro.solve(repro.get_workload("micro"), "coordinate")
+assert result.utility > 0.0
+assert "scipy" in sys.modules
+assert "networkx" not in sys.modules
+"""
+
+    def test_import_repro_leaves_out_scipy_and_networkx(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr

@@ -203,19 +203,17 @@ class TestValidation:
 
 
 class TestLegacyAliases:
-    def test_deprecated_attributes_resolve_with_warning(self, problem):
+    def test_legacy_attributes_are_plain_attribute_errors(self, problem):
         result = solve(problem, "annealing", iterations=500)
-        with pytest.warns(DeprecationWarning):
-            assert result.best_utility == result.utility
-        with pytest.warns(DeprecationWarning):
-            assert result.final_utility == result.utility
-        with pytest.warns(DeprecationWarning):
-            assert result.best_allocation is result.allocation
+        for name in ("best_utility", "final_utility", "best_allocation"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(result, name)
 
-    def test_metadata_keys_resolve_with_warning(self, problem):
+    def test_metadata_keys_are_not_attributes(self, problem):
         result = solve(problem, "annealing", iterations=500)
-        with pytest.warns(DeprecationWarning):
-            assert result.accepted == result.metadata["accepted"]
+        assert "accepted" in result.metadata
+        with pytest.raises(AttributeError, match="accepted"):
+            result.accepted
 
     def test_unknown_attribute_raises(self, problem):
         result = solve(problem, "lrgp", iterations=5)
