@@ -277,12 +277,6 @@ class ProjectContext:
                     queue.append(neighbour)
         return seen
 
-    def functions_in(self, prefix: str) -> Iterator[FunctionInfo]:
-        """All functions whose module matches ``prefix`` (dotted-prefix)."""
-        for info in self.functions.values():
-            if _prefixed(info.module, prefix):
-                yield info
-
     def class_of(self, info: FunctionInfo) -> ClassInfo | None:
         if info.owner is None:
             return None

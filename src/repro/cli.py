@@ -436,7 +436,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import (
         ConvergenceDiagnostics,
         MemorySink,
+        PhaseProfiler,
+        Telemetry,
         diagnostics_to_dict,
+        register_phase_metrics,
         render_diagnostics,
         render_metrics,
         snapshot_to_dict,
@@ -446,7 +449,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     problem = load_problem(args.workload)
     args.snapshots = False  # stats never needs per-iteration state
-    telemetry = _telemetry_run(args, problem)
+    profiler = PhaseProfiler()
+    telemetry = _telemetry_run(args, problem, Telemetry(profiler=profiler))
+    # Per-phase time (profile.phase.*) rides the same exporters.
+    register_phase_metrics(profiler.report(), telemetry.registry)
     snapshot = telemetry.registry.snapshot()
     sink = telemetry.sink
     assert isinstance(sink, MemorySink)
@@ -508,7 +514,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     _telemetry_run(args, problem, telemetry=telemetry)
     report = profiler.report()
     # Phase gauges/counters join the run's registry so any exporter
-    # (Prometheus text, JSON snapshot) sees them alongside the timers.
+    # (Prometheus text, JSON snapshot) sees them alongside the counters.
     register_phase_metrics(report, telemetry.registry)
 
     print(f"workload:   {problem.describe()}")
@@ -874,35 +880,27 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.events.reliability import RetryPolicy
-    from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
-    from repro.runtime.faults import FaultPlan
+    from repro.sweep.farm import run_chaos
 
     problem = load_problem(args.workload)
     checkpoint_interval = None if args.no_checkpoint else args.checkpoint_interval
-    plan = FaultPlan.random(
+    result, runtime = run_chaos(
         problem,
-        seed=args.seed,
-        horizon=args.horizon,
-        crash_rate=args.crash_rate,
-        mean_downtime=args.mean_downtime,
-        cold_probability=args.cold_probability,
-        partition_rate=args.partition_rate,
-        storm_rate=args.storm_rate,
-        warmup=args.warmup,
-        checkpoint_interval=checkpoint_interval,
+        args.seed,
+        args.horizon,
+        {
+            "crash_rate": args.crash_rate,
+            "mean_downtime": args.mean_downtime,
+            "cold_probability": args.cold_probability,
+            "partition_rate": args.partition_rate,
+            "storm_rate": args.storm_rate,
+            "warmup": args.warmup,
+            "checkpoint_interval": checkpoint_interval,
+        },
     )
-    runtime = AsynchronousRuntime(
-        problem,
-        AsyncConfig(seed=args.seed),
-        fault_plan=plan,
-        retry=RetryPolicy(),
-    )
-    runtime.run_until(args.horizon)
-    baseline = AsynchronousRuntime(problem, AsyncConfig(seed=args.seed))
-    baseline.run_until(args.horizon)
-    utility = runtime.converged_utility()
-    reference = baseline.converged_utility()
+    plan = result["plan"]
+    utility = result["utility"]
+    reference = result["baseline_utility"]
     retention = utility / reference if reference else float("nan")
 
     if args.json:
@@ -912,24 +910,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             "workload": args.workload,
             "horizon": args.horizon,
             "seed": args.seed,
-            "plan": {
-                "crashes": len(plan.crashes),
-                "partitions": len(plan.partitions),
-                "storms": len(plan.storms),
-                "checkpoint_interval": plan.checkpoint_interval,
-            },
+            "plan": plan,
             "utility": utility,
             "baseline_utility": reference,
             "retention": retention,
-            "counters": {
-                "messages_sent": runtime.messages_sent,
-                "messages_lost": runtime.messages_lost,
-                "messages_stale": runtime.messages_stale,
-                "messages_to_down": runtime.messages_to_down,
-                "messages_partitioned": runtime.messages_partitioned,
-                "retransmissions": runtime.retransmissions,
-                "retries_abandoned": runtime.retries_abandoned,
-            },
+            "counters": result["counters"],
             "recoveries": [
                 {
                     "address": record.address,
@@ -946,23 +931,24 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     print(f"workload:   {problem.describe()}")
     print(
-        f"fault plan: {len(plan.crashes)} crash(es), "
-        f"{len(plan.partitions)} partition(s), {len(plan.storms)} storm(s) "
+        f"fault plan: {plan['crashes']} crash(es), "
+        f"{plan['partitions']} partition(s), {plan['storms']} storm(s) "
         f"over horizon {args.horizon:g} (seed {args.seed})"
     )
     checkpointing = (
-        f"every {plan.checkpoint_interval:g}"
-        if plan.checkpoint_interval is not None
+        f"every {plan['checkpoint_interval']:g}"
+        if plan["checkpoint_interval"] is not None
         else "disabled (cold restarts)"
     )
     print(f"checkpoints: {checkpointing}")
+    counters = result["counters"]
     print(
         "messages:   "
-        f"{runtime.messages_sent} sent, {runtime.messages_lost} lost, "
-        f"{runtime.messages_stale} stale-rejected, "
-        f"{runtime.messages_to_down} to-down, "
-        f"{runtime.messages_partitioned} partitioned, "
-        f"{runtime.retransmissions} retransmitted"
+        f"{counters['messages_sent']} sent, {counters['messages_lost']} lost, "
+        f"{counters['messages_stale']} stale-rejected, "
+        f"{counters['messages_to_down']} to-down, "
+        f"{counters['messages_partitioned']} partitioned, "
+        f"{counters['retransmissions']} retransmitted"
     )
     print(f"utility:    {utility:,.2f} ({retention:.2%} of fault-free run)")
     if runtime.recoveries:

@@ -34,7 +34,6 @@ from repro.core.engines import (
     StepOutcome,
     available_engines,
     create_engine,
-    register_engine,
 )
 from repro.core.gamma import AdaptiveGamma, FixedGamma, GammaSchedule
 from repro.core.lrgp import LRGP, AdmissionStrategy, IterationRecord, LRGPConfig
@@ -67,7 +66,6 @@ __all__ = [
     "StepOutcome",
     "available_engines",
     "create_engine",
-    "register_engine",
     "AdaptiveGamma",
     "AdmissionStrategy",
     "Enactor",

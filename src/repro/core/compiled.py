@@ -704,10 +704,10 @@ class VectorizedEngine(LRGPEngine):
         snapshots = self._config.record_snapshots
         slack: dict[str, float] = {}
 
-        with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
+        with profiler.phase("iteration"):
             # 1. Rate allocation (Algorithm 1): prices from last iteration's
             #    populations, then the batched argmax of eq. 7.
-            with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
+            with profiler.phase("argmax"):
                 populations = self._populations.astype(np.float64)
                 prices = compiled.flow_prices(
                     populations,
@@ -720,32 +720,31 @@ class VectorizedEngine(LRGPEngine):
             #    Same phase names as the reference engine, so profiles of
             #    the two engines diff phase-for-phase; γ observation runs
             #    inline in _update_node_prices and folds into price_update.
-            with registry.timer("lrgp.consumer_allocation"):
-                with profiler.phase("admission"):
-                    values = compiled.class_values(self._rates)
-                    admitted, used, best = self._admit(values)
-                    self._populations = admitted
-                with profiler.phase("price_update"):
-                    if telemetry.enabled:
-                        # Eq. 12 moves the node lists in place; eq. 13
-                        # replaces the link array.
-                        old_node_price = list(self._node_price)
-                        old_gamma = list(self._gamma)
-                        old_link_price = self._link_price
-                        usage = _NO_LINKS
-                        branches: list[str] = []
-                        fluctuations: list[bool] = []
-                        fluctuation_steps = self._update_node_prices(
-                            best, used, branches, fluctuations
-                        )
-                    else:
-                        self._update_node_prices(best, used)
-                if snapshots:
-                    for b, nid in enumerate(compiled.node_ids):
-                        slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
+            with profiler.phase("admission"):
+                values = compiled.class_values(self._rates)
+                admitted, used, best = self._admit(values)
+                self._populations = admitted
+            with profiler.phase("price_update"):
+                if telemetry.enabled:
+                    # Eq. 12 moves the node lists in place; eq. 13
+                    # replaces the link array.
+                    old_node_price = list(self._node_price)
+                    old_gamma = list(self._gamma)
+                    old_link_price = self._link_price
+                    usage = _NO_LINKS
+                    branches: list[str] = []
+                    fluctuations: list[bool] = []
+                    fluctuation_steps = self._update_node_prices(
+                        best, used, branches, fluctuations
+                    )
+                else:
+                    self._update_node_prices(best, used)
+            if snapshots:
+                for b, nid in enumerate(compiled.node_ids):
+                    slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
 
             # 3. Link prices (eq. 13).
-            with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
+            with profiler.phase("price_update"):
                 if compiled.n_links:
                     usage = compiled.link_usages(self._rates)
                     self._update_link_prices(usage)

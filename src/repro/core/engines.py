@@ -1,4 +1,4 @@
-"""Solver engines for the LRGP driver and their registry.
+"""Solver engines for the LRGP driver.
 
 PR 3 splits the former monolithic :class:`~repro.core.lrgp.LRGP` into a thin
 facade (iteration bookkeeping, records, convergence) and a pluggable
@@ -11,19 +11,16 @@ controllers — and executes one full LRGP iteration:
   and every other engine is validated against its trajectory.
 * ``"vectorized"`` — :class:`repro.core.compiled.VectorizedEngine`, which
   lowers the problem to sparse numpy arrays and runs the whole iteration as
-  batched array ops (registered lazily to keep numpy off the import path of
+  batched array ops (imported lazily to keep numpy off the import path of
   the reference driver).
 
-Engines are looked up by name via :func:`create_engine`; third parties can
-:func:`register_engine` alternatives (a GPU backend, an approximate solver)
-without touching the driver.
+:func:`create_engine` builds either by name.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -204,17 +201,16 @@ class ReferenceEngine(LRGPEngine):
     def step(self) -> StepOutcome:
         problem = self._problem
         telemetry = self._config.telemetry
-        registry = telemetry.registry
         profiler = telemetry.profiler
         snapshots = self._config.record_snapshots
         node_prices = self.node_prices()
         link_prices = self.link_prices()
         slack: dict[str, float] = {}
 
-        with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
+        with profiler.phase("iteration"):
             # 1. Rate allocation at each source (Algorithm 1), using last
             #    iteration's populations and prices.
-            with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
+            with profiler.phase("argmax"):
                 for flow_id in problem.flows:
                     price = aggregate_flow_price(
                         problem, flow_id, self._populations, node_prices, link_prices
@@ -228,35 +224,34 @@ class ReferenceEngine(LRGPEngine):
             #    Profiler phases sit *inside* the per-node loop so the
             #    admission/price-update event interleaving (one pair per
             #    node) is untouched — replay depends on capture order.
-            with registry.timer("lrgp.consumer_allocation"):
-                for node_id in problem.consumer_nodes():
-                    with profiler.phase("admission"):
-                        result = self._config.admission(problem, node_id, self._rates)
-                        self._populations.update(result.populations)
-                    controller = self._node_controllers[node_id]
-                    # The adaptive γ observation runs inside update(), so
-                    # gamma_step cost folds into this phase.
-                    with profiler.phase("price_update"):
-                        controller.update(
-                            benefit_cost=result.best_unsatisfied_ratio,
+            for node_id in problem.consumer_nodes():
+                with profiler.phase("admission"):
+                    result = self._config.admission(problem, node_id, self._rates)
+                    self._populations.update(result.populations)
+                controller = self._node_controllers[node_id]
+                # The adaptive γ observation runs inside update(), so
+                # gamma_step cost folds into this phase.
+                with profiler.phase("price_update"):
+                    controller.update(
+                        benefit_cost=result.best_unsatisfied_ratio,
+                        used=result.used,
+                    )
+                if snapshots:
+                    slack[f"node:{node_id}"] = controller.capacity - result.used
+                if telemetry.enabled:
+                    telemetry.emit(
+                        AdmissionEvent(
+                            node=node_id,
+                            admitted=dict(result.populations),
                             used=result.used,
+                            capacity=controller.capacity,
+                            best_ratio=result.best_unsatisfied_ratio,
+                            t_ns=now_ns(),
                         )
-                    if snapshots:
-                        slack[f"node:{node_id}"] = controller.capacity - result.used
-                    if telemetry.enabled:
-                        telemetry.emit(
-                            AdmissionEvent(
-                                node=node_id,
-                                admitted=dict(result.populations),
-                                used=result.used,
-                                capacity=controller.capacity,
-                                best_ratio=result.best_unsatisfied_ratio,
-                                t_ns=now_ns(),
-                            )
-                        )
+                    )
 
             # 3b. Link price update (Algorithm 3 / eq. 13).
-            with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
+            with profiler.phase("price_update"):
                 if self._link_controllers:
                     allocation = self.allocation()
                     for link_id, link_controller in self._link_controllers.items():
@@ -272,45 +267,25 @@ class ReferenceEngine(LRGPEngine):
         return StepOutcome(utility=utility, slack=slack)
 
 
-#: Factory signature stored in the registry.
-EngineFactory = Callable[[Problem, "LRGPConfig"], LRGPEngine]
-
-_ENGINES: dict[str, EngineFactory] = {}
-
-
-def register_engine(name: str, factory: EngineFactory) -> None:
-    """Register (or replace) an engine factory under ``name``."""
-    if not name:
-        raise ValueError("engine name must be non-empty")
-    _ENGINES[name] = factory
-
-
 def available_engines() -> tuple[str, ...]:
-    """Registered engine names, sorted."""
-    return tuple(sorted(_ENGINES))
+    """Engine names, sorted."""
+    return ("reference", "vectorized")
 
 
 def create_engine(name: str, problem: Problem, config: "LRGPConfig") -> LRGPEngine:
-    """Instantiate the engine registered under ``name``.
+    """Instantiate the engine named ``name``.
 
     Raises ``ValueError`` naming the available engines when ``name`` is
     unknown, so a typo in ``LRGPConfig(engine=...)`` fails loudly at
-    construction rather than mid-run.
+    construction rather than mid-run.  The vectorized engine is imported
+    here so importing the driver never imports numpy.
     """
-    factory = _ENGINES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {', '.join(available_engines())}"
-        )
-    return factory(problem, config)
+    if name == "reference":
+        return ReferenceEngine(problem, config)
+    if name == "vectorized":
+        from repro.core.compiled import VectorizedEngine
 
-
-def _make_vectorized(problem: Problem, config: "LRGPConfig") -> LRGPEngine:
-    """Lazy factory so importing the driver never imports numpy."""
-    from repro.core.compiled import VectorizedEngine
-
-    return VectorizedEngine(problem, config)
-
-
-register_engine("reference", ReferenceEngine)
-register_engine("vectorized", _make_vectorized)
+        return VectorizedEngine(problem, config)
+    raise ValueError(
+        f"unknown engine {name!r}; available: {', '.join(available_engines())}"
+    )

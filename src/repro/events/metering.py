@@ -80,9 +80,6 @@ class ResourceMeter:
             return 0.0
         return self._link_charge.get(link_id, 0.0) / elapsed
 
-    def node_rates(self, now: float) -> dict[NodeId, float]:
-        return {node_id: self.node_rate(node_id, now) for node_id in self._node_charge}
-
     def link_rates(self, now: float) -> dict[LinkId, float]:
         return {link_id: self.link_rate(link_id, now) for link_id in self._link_charge}
 

@@ -82,13 +82,6 @@ class ReliabilityConfig:
     def effective_timeout(self) -> float:
         return self.timeout if self.timeout is not None else 2.0 * self.rtt
 
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """This channel's retransmission behaviour as a :class:`RetryPolicy`."""
-        return RetryPolicy(
-            timeout=self.effective_timeout, max_retries=self.max_retries
-        )
-
 
 @dataclass
 class ReliabilityStats:

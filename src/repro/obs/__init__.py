@@ -4,8 +4,8 @@ Observability substrate shared by the LRGP core, both runtimes and the
 event simulator (see docs/observability.md); stdlib only, except that the
 vectorized engine's columnar records hold numpy arrays:
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
-  and ``timer()`` profiling hooks;
+* :class:`MetricsRegistry` — counters, gauges and fixed-bucket
+  histograms;
 * typed trace events + sinks (:class:`MemorySink`, :class:`JsonlSink`,
   :class:`CsvSink`) behind the :class:`TraceSink` protocol, including
   the per-iteration :class:`ColumnarStepEvent`, its :func:`expand`
@@ -101,7 +101,6 @@ from repro.obs.profile import (
     to_speedscope,
 )
 from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
     DEFAULT_VALUE_BUCKETS,
     NULL_REGISTRY,
     Counter,
@@ -112,7 +111,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRegistry,
-    Timer,
 )
 from repro.obs.replay import ReplayEngine, ReplayError, ReplayState, render_state
 from repro.obs.sinks import (
@@ -135,7 +133,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_SINK",
     "NULL_TELEMETRY",
-    "DEFAULT_TIME_BUCKETS",
     "DEFAULT_VALUE_BUCKETS",
     "TRACE_SCHEMA_VERSION",
     "ActivationSpan",
@@ -181,7 +178,6 @@ __all__ = [
     "ResourceDiagnostics",
     "Span",
     "Telemetry",
-    "Timer",
     "TraceEvent",
     "TraceEventError",
     "TraceSink",

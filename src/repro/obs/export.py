@@ -8,7 +8,7 @@ data as one machine-readable object (stable schema, version-tagged like
 the lint report).
 
 Metric names are sanitized to the Prometheus charset and prefixed with
-``repro_`` (``lrgp.iteration`` -> ``repro_lrgp_iteration``).
+``repro_`` (``lrgp.iterations`` -> ``repro_lrgp_iterations``).
 """
 
 from __future__ import annotations

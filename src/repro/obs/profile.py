@@ -1,7 +1,8 @@
 """``repro.obs.profile`` — deterministic hierarchical phase profiling.
 
-The registry's timers answer "how long does one iteration take"; this
-module answers "where inside the iteration the time goes".  A
+This module is the one clock for LRGP phases: it answers both "how long
+does one iteration take" and "where inside the iteration the time
+goes".  A
 :class:`PhaseProfiler` maintains a stack of nested *phase spans* — the
 solver opens ``solve -> iteration -> argmax / admission / price_update``,
 the runtimes ``runtime -> activation / delivery / retransmit /

@@ -198,13 +198,6 @@ class MultirateNodeAgent(Agent):
     def price(self) -> float:
         return self._controller.price
 
-    def _hosted_flows(self) -> list[FlowId]:
-        return [
-            flow_id
-            for flow_id in self._problem.flows_at_node(self._node_id)
-            if self._problem.classes_of_flow_at_node(flow_id, self._node_id)
-        ]
-
     def initial_feedback(self, stamp: float) -> list[Message]:
         """Bootstrap messages mirroring the centralized driver's initial
         state: zero price, zero populations, demands computed from them."""

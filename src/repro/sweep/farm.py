@@ -36,10 +36,10 @@ invocation is recorded in the cache's append-only run ledger
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.gamma import FixedGamma
 from repro.obs import Telemetry
@@ -51,11 +51,16 @@ from repro.sweep.spec import RunConfig, SweepSpec, parse_gamma_policy
 from repro.sweep.telemetry import capture_bundle, telemetry_payload
 from repro.workloads.registry import workload_from_spec
 
+if TYPE_CHECKING:
+    from repro.model.problem import Problem
+    from repro.runtime.asynchronous import AsynchronousRuntime
+
 __all__ = [
     "SweepCell",
     "SweepResult",
     "execute_run",
     "plan_sweep",
+    "run_chaos",
     "run_sweep",
 ]
 
@@ -124,64 +129,84 @@ def _solve_payload(
     }
 
 
-def _fault_payload(
-    config: RunConfig, telemetry: Telemetry | None = None
-) -> dict[str, Any]:
-    """Run the cell under its fault plan (the ``repro chaos`` protocol).
+def run_chaos(
+    problem: Problem,
+    seed: int,
+    horizon: float,
+    plan_params: Mapping[str, Any],
+    telemetry: Telemetry | None = None,
+) -> tuple[dict[str, Any], AsynchronousRuntime]:
+    """The ``repro chaos`` protocol, shared by the CLI and fault cells.
 
-    The faulted run and a fault-free baseline execute with the same seed;
-    *retention* is faulted converged utility over baseline converged
-    utility — the cell's headline fault-recovery metric.
+    A seeded :meth:`~repro.runtime.faults.FaultPlan.random` plan (built
+    from ``plan_params``) drives a faulted asynchronous run; a fault-free
+    baseline then runs with the same seed.  Returns the fault cell's
+    ``result`` section and the faulted runtime (for its recoveries).
     """
     from repro.events.reliability import RetryPolicy
     from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
     from repro.runtime.faults import FaultPlan
 
-    assert config.fault_plan is not None
-    plan_params = dict(config.fault_plan)
-    horizon = plan_params.pop("horizon", 400.0)
-    problem = workload_from_spec(config.workload)
-    plan = FaultPlan.random(
-        problem, seed=config.seed, horizon=horizon, **plan_params
-    )
+    plan = FaultPlan.random(problem, seed=seed, horizon=horizon, **plan_params)
     runtime = AsynchronousRuntime(
         problem,
-        AsyncConfig(seed=config.seed),
+        AsyncConfig(seed=seed),
         fault_plan=plan,
         retry=RetryPolicy(),
-        # The faulted run is the cell's subject; the fault-free baseline
-        # below runs untelemetered so capture measures one run, not two.
+        # The faulted run is the subject; the fault-free baseline below
+        # runs untelemetered so capture measures one run, not two.
         **({} if telemetry is None else {"telemetry": telemetry}),
     )
     runtime.run_until(horizon)
-    baseline = AsynchronousRuntime(problem, AsyncConfig(seed=config.seed))
+    baseline = AsynchronousRuntime(problem, AsyncConfig(seed=seed))
     baseline.run_until(horizon)
+    result: dict[str, Any] = {
+        "horizon": horizon,
+        "utility": runtime.converged_utility(),
+        "baseline_utility": baseline.converged_utility(),
+        "plan": {
+            "crashes": len(plan.crashes),
+            "partitions": len(plan.partitions),
+            "storms": len(plan.storms),
+            "checkpoint_interval": plan.checkpoint_interval,
+        },
+        "counters": {
+            "messages_sent": runtime.messages_sent,
+            "messages_lost": runtime.messages_lost,
+            "messages_stale": runtime.messages_stale,
+            "messages_to_down": runtime.messages_to_down,
+            "messages_partitioned": runtime.messages_partitioned,
+            "retransmissions": runtime.retransmissions,
+            "retries_abandoned": runtime.retries_abandoned,
+        },
+    }
+    return result, runtime
 
-    utility = runtime.converged_utility()
-    reference = baseline.converged_utility()
+
+def _fault_payload(
+    config: RunConfig, telemetry: Telemetry | None = None
+) -> dict[str, Any]:
+    """Run the cell under its fault plan (:func:`run_chaos`).
+
+    *Retention* is faulted converged utility over baseline converged
+    utility — the cell's headline fault-recovery metric.
+    """
+    assert config.fault_plan is not None
+    plan_params = dict(config.fault_plan)
+    horizon = plan_params.pop("horizon", 400.0)
+    result, runtime = run_chaos(
+        workload_from_spec(config.workload),
+        config.seed,
+        horizon,
+        plan_params,
+        telemetry,
+    )
+    utility = result["utility"]
+    reference = result["baseline_utility"]
     recovery_times = [record.recovery_time for record in runtime.recoveries]
     return {
         "kind": "fault",
-        "result": {
-            "horizon": horizon,
-            "utility": utility,
-            "baseline_utility": reference,
-            "plan": {
-                "crashes": len(plan.crashes),
-                "partitions": len(plan.partitions),
-                "storms": len(plan.storms),
-                "checkpoint_interval": plan.checkpoint_interval,
-            },
-            "counters": {
-                "messages_sent": runtime.messages_sent,
-                "messages_lost": runtime.messages_lost,
-                "messages_stale": runtime.messages_stale,
-                "messages_to_down": runtime.messages_to_down,
-                "messages_partitioned": runtime.messages_partitioned,
-                "retransmissions": runtime.retransmissions,
-                "retries_abandoned": runtime.retries_abandoned,
-            },
-        },
+        "result": result,
         "metrics": {
             "utility": utility,
             "retention": (utility / reference) if reference else None,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -202,15 +202,6 @@ class RunConfig:
         if self.repeat:
             parts.append(f"r{self.repeat}")
         return "/".join(parts)
-
-
-def _as_tuple(value: Sequence[Any] | None, fallback: tuple[Any, ...]) -> tuple[Any, ...]:
-    if value is None:
-        return fallback
-    result = tuple(value)
-    if not result:
-        raise ValueError("sweep axes must have at least one value")
-    return result
 
 
 @dataclass(frozen=True)

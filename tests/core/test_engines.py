@@ -1,4 +1,4 @@
-"""Engine registry + reference/vectorized trajectory equivalence.
+"""Engine selection + reference/vectorized trajectory equivalence.
 
 The acceptance bar for any alternative engine: on every supported
 workload its utility trajectory must match the reference driver's at
@@ -14,12 +14,10 @@ import pytest
 from repro.core.compiled import FAMILY_GENERIC, compile_problem
 from repro.core.consumer_allocation import allocate_consumers
 from repro.core.engines import (
-    _ENGINES,
     LRGPEngine,
     ReferenceEngine,
     available_engines,
     create_engine,
-    register_engine,
 )
 from repro.core.gamma import AdaptiveGamma, FixedGamma
 from repro.core.lrgp import LRGP, LRGPConfig
@@ -64,18 +62,6 @@ class TestRegistry:
         engine = create_engine("reference", micro_workload(), LRGPConfig())
         assert isinstance(engine, ReferenceEngine)
         assert engine.name == "reference"
-
-    def test_register_engine_round_trip(self):
-        class Dummy(ReferenceEngine):
-            name = "dummy"
-
-        register_engine("dummy", Dummy)
-        try:
-            assert "dummy" in available_engines()
-            optimizer = LRGP(micro_workload(), engine="dummy")
-            assert optimizer.engine_name == "dummy"
-        finally:
-            del _ENGINES["dummy"]
 
     def test_config_engine_field_and_override(self):
         problem = micro_workload()

@@ -179,6 +179,24 @@ class TestStatsCommand:
         ) == 0
         assert "runtime.sync.rounds: 30" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("engine", "phase", "calls"),
+        [
+            ("reference", "solve.iteration", 30),
+            ("vectorized", "solve.iteration", 30),
+            ("sync", "runtime", 30),
+            ("async", "runtime", 1),  # one span over the whole run_until
+        ],
+    )
+    def test_json_reports_phase_time(self, capsys, engine, phase, calls):
+        assert main(
+            ["stats", "micro", "--iterations", "30", "--engine", engine,
+             "--format", "json"]
+        ) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert metrics["counters"][f"profile.phase.{phase}.calls"] == calls
+        assert metrics["gauges"][f"profile.phase.{phase}.total_seconds"] > 0.0
+
     def test_vectorized_engine_matches_reference_diagnostics(self, capsys):
         from repro.utility.tolerance import ENGINE_EQUIVALENCE_RTOL
 
@@ -239,6 +257,25 @@ class TestChaosCommand:
             record["from_checkpoint"] is False
             for record in payload["recoveries"]
         )
+
+    def test_json_report_equals_the_fault_cell(self, capsys):
+        """``repro chaos`` and a sweep fault cell run one protocol."""
+        from repro.sweep.farm import execute_run
+        from repro.sweep.spec import RunConfig
+
+        assert main([*self.ARGS, "--seed", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cell = execute_run(
+            RunConfig(
+                workload="micro",
+                fault_plan=(
+                    ("horizon", 120.0), ("crash_rate", 0.03), ("warmup", 40.0)
+                ),
+                seed=1,
+            )
+        )
+        for key in ("plan", "counters", "utility", "baseline_utility"):
+            assert payload[key] == cell["result"][key], key
 
 
 class TestTraceCommand:
