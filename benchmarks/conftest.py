@@ -12,6 +12,7 @@ variable (expect hours, as the paper reports 23-357 minutes per workload).
 from __future__ import annotations
 
 import os
+import statistics
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -28,3 +29,11 @@ def record_result(name: str, text: str) -> None:
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def median_and_iqr(samples: list[int]) -> tuple[float, float]:
+    """Median and interquartile range of timing samples: the value and the
+    spread that ``repro bench compare`` reads as ``<metric>`` and
+    ``<metric>_iqr``."""
+    quartiles = statistics.quantiles(samples, n=4, method="inclusive")
+    return statistics.median(samples), quartiles[2] - quartiles[0]

@@ -31,7 +31,7 @@ import statistics
 import time
 from typing import Any
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, median_and_iqr
 
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.obs import NULL_TELEMETRY, MemorySink, Telemetry
@@ -70,10 +70,6 @@ def archive(section: dict[str, Any]) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     ARCHIVE.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-
-def median_and_iqr(samples: list[int]) -> tuple[float, float]:
-    quartiles = statistics.quantiles(samples, n=4, method="inclusive")
-    return statistics.median(samples), quartiles[2] - quartiles[0]
 
 WARMUP_ITERATIONS = 30
 TIMED_ITERATIONS = 200

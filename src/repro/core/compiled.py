@@ -19,14 +19,21 @@ runs every LRGP iteration as batched array ops (:class:`VectorizedEngine`):
   they get the same float as the reference engine.
 * **Consumer allocation** (Algorithm 2, eq. 10-11) — benefit/cost ratios
   for all classes at once.  Nodes whose budget covers every class admit
-  them all without ordering anything.  The chargeable classes of the
-  remaining (contended) nodes are put in the reference order — node, then
-  descending ratio, ties by class id — by *one* ``np.lexsort`` per
-  iteration, and each node's greedy fill folds its budget over plain
-  Python floats with the reference's flooring, leaving the node as soon
-  as the budget cannot admit one consumer of the cheapest class still
-  ahead.  Zero-cost classes, the covered nodes' need and ``BC(b,t)`` are
-  array reductions.
+  them all without ordering anything.  With 16 or more consumer nodes,
+  the remaining (contended) nodes sit in a padded node x class layout
+  built at bind (nodes bucketed so padding stays within twice the class
+  count); one stable ``argsort`` per bucket puts each node's chargeable
+  classes in the reference order — descending ratio, ties by class id.
+  A node's greedy fill is then a prefix ``subtract.accumulate`` over
+  ``[budget, n^max * cost, ...]``, which reproduces the reference's
+  sequential budget float for float, so the run admitted at ``n^max``,
+  the partial class and the exit once the budget cannot admit one
+  consumer of the cheapest class still ahead are array ops; only a node
+  that still admits after its partial class goes on in plain Python
+  floats.  With fewer nodes, where those array calls cost more than the
+  loop, one ``np.lexsort`` orders the contended classes and every node
+  folds in Python.  Zero-cost classes, the covered nodes' need and
+  ``BC(b,t)`` are array reductions.
 * **Price updates** (eq. 12-13) — eq. 13 is one array expression over all
   bottleneck links; eq. 12 with the adaptive-gamma heuristic stays a
   scalar loop over the short node axis, where it costs less than the
@@ -81,6 +88,13 @@ IntArray = NDArray[np.int64]
 
 #: The link usage a telemetry record carries when there are no links.
 _NO_LINKS: FloatArray = np.zeros(0, dtype=np.float64)
+
+#: Problems with fewer consumer nodes admit node by node in Python: there
+#: the row-wise fill's ~70 numpy calls per bucket cost more than the loop.
+_ROW_FILL_MIN_NODES = 16
+#: Columns of a sorted admission row the array fold covers first (see
+#: ``VectorizedEngine._admit``); doubled while a row admits n^max beyond it.
+_FOLD_SPAN = 16
 
 #: Utility-family codes used by the batched rate solver.
 FAMILY_LOG = 0
@@ -358,6 +372,50 @@ class CompiledProblem:
         return float(np.dot(populations.astype(np.float64), values))
 
 
+def _flow_families(
+    class_flow: IntArray,
+    class_family: IntArray,
+    class_offset: FloatArray,
+    class_exponent: FloatArray,
+    n_flows: int,
+) -> tuple[IntArray, FloatArray, FloatArray]:
+    """Per flow ``(family, offset, exponent)`` for the batched rate solver.
+
+    A flow is log when all its classes are log with one offset, power when
+    all are power with one exponent, and generic otherwise; a flow with no
+    classes is log (the rate solver only hits boundary cases for it, and
+    log keeps it off the fallback column).  Each class is compared with
+    its flow's first class, found by one stable class-by-flow sort, and
+    the matches are counted per flow with ``bincount``: linear in the
+    classes, not flows x classes.
+    """
+    sizes = np.bincount(class_flow, minlength=n_flows)
+    by_flow = np.argsort(class_flow, kind="stable")
+    first = np.zeros(n_flows, dtype=np.int64)
+    present = sizes > 0
+    first[present] = by_flow[(np.cumsum(sizes) - sizes)[present]]
+    lead = first[class_flow]
+    # Exact equality on purpose: it mirrors the reference solver's grouping
+    # test (same-offset log terms collapse in closed form).
+    same_log = (class_family == FAMILY_LOG) & (class_offset == class_offset[lead])
+    same_pow = (class_family == FAMILY_POW) & (
+        class_exponent == class_exponent[lead]
+    )
+    all_log = np.bincount(class_flow, weights=same_log, minlength=n_flows) == sizes
+    all_pow = present & (
+        np.bincount(class_flow, weights=same_pow, minlength=n_flows) == sizes
+    )
+    flow_family = np.where(
+        all_log, FAMILY_LOG, np.where(all_pow, FAMILY_POW, FAMILY_GENERIC)
+    ).astype(np.int64)
+    flow_offset = np.zeros(n_flows, dtype=np.float64)
+    flow_exponent = np.zeros(n_flows, dtype=np.float64)
+    log_flows = all_log & present
+    flow_offset[log_flows] = class_offset[first[log_flows]]
+    flow_exponent[all_pow] = class_exponent[first[all_pow]]
+    return flow_family, flow_offset, flow_exponent
+
+
 def compile_problem(problem: Problem) -> CompiledProblem:
     """Lower ``problem`` into a :class:`CompiledProblem`.
 
@@ -433,29 +491,9 @@ def compile_problem(problem: Problem) -> CompiledProblem:
         utilities.append(cls.utility)
 
     n_flows = len(flow_ids)
-    flow_family = np.full(n_flows, FAMILY_GENERIC, dtype=np.int64)
-    flow_offset = np.zeros(n_flows, dtype=np.float64)
-    flow_exponent = np.zeros(n_flows, dtype=np.float64)
-    for i in range(n_flows):
-        members = np.nonzero(class_flow == i)[0]
-        if members.size == 0:
-            # No consumers ever: the rate solver only hits boundary cases,
-            # so the family is irrelevant; log keeps it off the fallback.
-            flow_family[i] = FAMILY_LOG
-            continue
-        families = class_family[members]
-        if np.all(families == FAMILY_LOG):
-            offsets = class_offset[members]
-            # Exact equality on purpose: it mirrors the reference solver's
-            # grouping test (same-offset log terms collapse in closed form).
-            if np.all(offsets == offsets[0]):
-                flow_family[i] = FAMILY_LOG
-                flow_offset[i] = offsets[0]
-        elif np.all(families == FAMILY_POW):
-            exponents = class_exponent[members]
-            if np.all(exponents == exponents[0]):
-                flow_family[i] = FAMILY_POW
-                flow_exponent[i] = exponents[0]
+    flow_family, flow_offset, flow_exponent = _flow_families(
+        class_flow, class_family, class_offset, class_exponent, n_flows
+    )
 
     return CompiledProblem(
         problem=problem,
@@ -494,10 +532,96 @@ def compile_problem(problem: Problem) -> CompiledProblem:
     )
 
 
+def _greedy_fill(
+    cost: memoryview,
+    caps: memoryview,
+    counts: memoryview,
+    k: int,
+    end: int,
+    remaining: float,
+    total: float,
+) -> float:
+    """One node's greedy fill over ``cost[k:end]`` in plain Python floats.
+
+    ``cost`` and ``caps`` hold chargeable classes in fill order; the
+    admitted counts go to ``counts[k:end]``.  The fold uses the reference's
+    operations (``count = int(remaining / cost + _FLOOR_SLACK)`` capped at
+    ``n^max``, then ``remaining -= count * cost``) and leaves as soon as the
+    budget cannot admit one consumer of the cheapest class still ahead:
+    IEEE division and floor are monotone, so every class skipped that way
+    would have admitted 0.  Returns ``total`` plus the consumer spend.
+    """
+    slack = _FLOOR_SLACK
+    # Cheapest cost over cost[k:end] and where it sits; recomputed once the
+    # fill moves past it.
+    floor_at = k - 1
+    floor_cost = 0.0
+    while k < end and remaining > 0.0:
+        unit = cost[k]
+        count = int(remaining / unit + slack)
+        cap = caps[k]
+        if count > cap:
+            count = cap
+        counts[k] = count
+        spent = count * unit
+        remaining -= spent
+        total += spent
+        k += 1
+        if count < cap and k < end:
+            if floor_at < k:
+                rest = cost[k:end].tolist()
+                floor_cost = min(rest)
+                floor_at = k + rest.index(floor_cost)
+            if int(remaining / floor_cost + slack) == 0:
+                break
+    return total
+
+
 def _validate_initial_price(price: float, what: str) -> float:
     if math.isnan(price) or math.isinf(price) or price < 0.0:
         raise ValueError(f"{what} must be finite and non-negative, got {price}")
     return price
+
+
+def _admission_buckets(
+    by_node: IntArray, counts: IntArray
+) -> list[tuple[IntArray, IntArray, IntArray]]:
+    """The padded node x class layout greedy admission sorts and folds.
+
+    ``by_node`` is the class axis grouped by node (class positions
+    ascending within a node) and ``counts`` each node's class count.  Each
+    bucket is ``(nodes, cells, base)``: ``cells`` is a
+    ``(len(nodes), width + 1)`` matrix whose row lists one node's class
+    positions, then ``len(by_node)`` (a sentinel slot) up to the last
+    column, which is all sentinel; ``base`` is each row's offset in
+    ``cells.ravel()``.  Nodes are taken in decreasing class count, and a
+    bucket takes the next node while its cells stay within twice its
+    classes.  ``width`` is the bucket's first and largest count, and every
+    node with more than half of it fits, so there are at most
+    ``log2(largest / smallest count) + 1`` buckets (one on a uniform
+    fabric).
+    """
+    starts = (np.cumsum(counts) - counts).tolist()
+    groups: list[list[int]] = []
+    width = classes = 0
+    for b in np.argsort(-counts, kind="stable").tolist():
+        count = int(counts[b])
+        if groups and (len(groups[-1]) + 1) * (width + 1) <= 2 * (classes + count):
+            groups[-1].append(b)
+            classes += count
+        else:
+            groups.append([b])
+            width = classes = count
+    buckets = []
+    for group in groups:
+        cells = np.full(
+            (len(group), int(counts[group[0]]) + 1), by_node.size, dtype=np.int64
+        )
+        for row, b in enumerate(group):
+            cells[row, : counts[b]] = by_node[starts[b] : starts[b] + counts[b]]
+        base = np.arange(0, cells.size, cells.shape[1])
+        buckets.append((np.array(group, dtype=np.int64), cells, base))
+    return buckets
 
 
 @dataclass
@@ -657,8 +781,7 @@ class VectorizedEngine(LRGPEngine):
 
         # Static per-bind precomputation: which utility families are present
         # (to skip dead closed-form columns), the power-family exponent
-        # transforms, and the class axis grouped by node for the per-node
-        # BC(b,t) reduction.
+        # transforms, the generic flows' terms and the admission layout.
         pow_flows = compiled.flow_family == FAMILY_POW
         self._has_log_flows = bool(np.any(compiled.flow_family == FAMILY_LOG))
         self._has_pow_flows = bool(np.any(pow_flows))
@@ -668,26 +791,37 @@ class VectorizedEngine(LRGPEngine):
             pow_flows, 1.0 / (compiled.flow_exponent - 1.0), 0.0
         )
         # Fallback column: per generic flow, its bounds and its classes
-        # (position, utility) in class-id order, the reference's term order.
+        # (position, utility) in class-id order, the reference's term order,
+        # sliced from one stable class-by-flow sort.
+        sizes = np.bincount(compiled.class_flow, minlength=compiled.n_flows)
+        ends = np.cumsum(sizes)
+        by_flow = np.argsort(compiled.class_flow, kind="stable")
         self._generic_flows = [
             (
-                int(i),
+                i,
                 float(compiled.rate_min[i]),
                 float(compiled.rate_max[i]),
                 [
-                    (int(j), compiled.utilities[int(j)])
-                    for j in np.nonzero(compiled.class_flow == i)[0]
+                    (j, compiled.utilities[j])
+                    for j in by_flow[ends[i] - sizes[i] : ends[i]].tolist()
                 ],
             )
-            for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0]
+            for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0].tolist()
         ]
-        # The class axis grouped by node for the BC(b,t) reduceat; every
-        # consumer node hosts a class, so no segment is empty.
+        # The class axis grouped by node, for the admission layout and the
+        # BC(b,t) reduceat; every consumer node hosts a class, so no
+        # segment is empty.
         self._by_node = np.argsort(compiled.class_node, kind="stable")
-        self._node_starts = np.searchsorted(
-            compiled.class_node[self._by_node], np.arange(n_nodes)
+        node_counts = np.bincount(compiled.class_node, minlength=n_nodes)
+        self._node_starts = np.cumsum(node_counts) - node_counts
+        self._buckets = (
+            _admission_buckets(self._by_node, node_counts)
+            if n_nodes >= _ROW_FILL_MIN_NODES
+            else []
         )
         self._max_consumers_float = compiled.max_consumers.astype(np.float64)
+        # n^max per class, and 0 for the layout's sentinel slot.
+        self._caps = np.append(compiled.max_consumers, 0)
         self._node_capacity_list = compiled.node_capacity.tolist()
         if config.telemetry.enabled:
             # Telemetry records share these with the compiled problem.
@@ -871,16 +1005,14 @@ class VectorizedEngine(LRGPEngine):
         Ratios (eq. 10) are computed for all classes at once.  A node whose
         budget covers the cost of saturating every chargeable class admits
         everyone (order cannot matter), as do zero-cost classes anywhere —
-        the reference admits them without touching the budget.  The
-        chargeable classes of the other, *contended* nodes are ordered by
-        one ``np.lexsort`` on ``(node, -ratio, class position)``, exactly
-        the reference's order, and each node folds its budget over them in
-        plain Python floats with the reference's operations.  A node's
-        fill stops once the budget cannot admit one consumer of the
-        cheapest class still ahead: IEEE division and floor are monotone,
-        so every class skipped that way would have admitted 0.  Returns
-        ``(populations, used, best_unsatisfied_ratio)``; ``BC(b,t)`` is the
-        largest finite ratio among classes below ``n^max``, 0 when none.
+        the reference admits them without touching the budget.  The other,
+        *contended* nodes fill in the reference's order (descending ratio,
+        ties by class id) with the reference's float operations: row by
+        row on the padded layout (:meth:`_fill_rows`) when the problem has
+        at least :data:`_ROW_FILL_MIN_NODES` consumer nodes, else node by
+        node in Python (:meth:`_fill_flat`).  Returns ``(populations, used,
+        best_unsatisfied_ratio)``; ``BC(b,t)`` is the largest finite ratio
+        among classes below ``n^max``, 0 when none.
         """
         compiled = self.compiled
         max_consumers = compiled.max_consumers
@@ -896,72 +1028,180 @@ class VectorizedEngine(LRGPEngine):
 
         flow_cost = compiled.node_flow_costs(self._rates)
         budget = compiled.node_capacity - flow_cost
+        saturate = unit_cost * self._max_consumers_float
         need = np.bincount(
             compiled.class_node,
-            weights=np.where(chargeable, unit_cost * self._max_consumers_float, 0.0),
+            weights=np.where(chargeable, saturate, 0.0),
             minlength=compiled.n_nodes,
         )
         covered = need <= budget
         contended = chargeable & ~covered[compiled.class_node]
         populations = np.where(contended, 0, max_consumers)
-
-        # One stable sort by (node, -ratio); ``sel`` ascends, so ties keep
-        # class-position order — exactly the reference's sort key.
-        sel = contended.nonzero()[0]
-        sel_node = compiled.class_node[sel]
-        order = sel[np.lexsort((-ratios[sel], sel_node))]
-        ends = np.bincount(sel_node, minlength=compiled.n_nodes)
-        cost = memoryview(unit_cost[order])
-        caps = memoryview(max_consumers[order])
-        # Admitted counts in fill order; classes a node never reaches keep 0.
-        filled = np.zeros(sel.size, dtype=np.int64)
-        counts = memoryview(filled)
-        slack = _FLOOR_SLACK
-        used: list[float] = []
-        start = 0
-        for end, remaining, node_flow_cost, node_need, fits in zip(
-            ends.cumsum().tolist(),
-            budget.tolist(),
-            flow_cost.tolist(),
-            need.tolist(),
-            covered.tolist(),
-        ):
-            if fits:
-                used.append(node_flow_cost + node_need)
-                continue
-            k = start
-            total = 0.0
-            # Cheapest cost over cost[k:end] and where it sits; recomputed
-            # once the fill moves past it.
-            floor_at = k - 1
-            floor_cost = 0.0
-            while k < end and remaining > 0.0:
-                unit = cost[k]
-                count = int(remaining / unit + slack)
-                cap = caps[k]
-                if count > cap:
-                    count = cap
-                counts[k] = count
-                spent = count * unit
-                remaining -= spent
-                total += spent
-                k += 1
-                if count < cap and k < end:
-                    if floor_at < k:
-                        rest = cost[k:end].tolist()
-                        floor_cost = min(rest)
-                        floor_at = k + rest.index(floor_cost)
-                    if int(remaining / floor_cost + slack) == 0:
-                        break
-            used.append(node_flow_cost + total)
-            start = end
-        populations[order] = filled
+        if self._buckets:
+            total = self._fill_rows(
+                contended, ratios, unit_cost, saturate, budget, populations
+            )
+        else:
+            total = self._fill_flat(contended, ratios, unit_cost, budget, populations)
+        used = flow_cost + np.where(covered, need, total)
 
         unsatisfied = (populations < max_consumers) & np.isfinite(ratios)
         best = np.maximum.reduceat(
             np.where(unsatisfied, ratios, -np.inf)[self._by_node], self._node_starts
         )
-        return populations, used, np.where(best > -np.inf, best, 0.0).tolist()
+        return (
+            populations,
+            used.tolist(),
+            np.where(best > -np.inf, best, 0.0).tolist(),
+        )
+
+    def _fill_flat(
+        self,
+        contended: NDArray[np.bool_],
+        ratios: FloatArray,
+        unit_cost: FloatArray,
+        budget: FloatArray,
+        populations: IntArray,
+    ) -> list[float]:
+        """Greedy fill of every contended node in plain Python floats.
+
+        One stable ``np.lexsort`` on ``(node, -ratio)`` over the contended
+        class positions, which ascend, puts them in the reference's order;
+        each node then folds its budget with :func:`_greedy_fill`.  Writes
+        the admitted counts into ``populations`` and returns each node's
+        consumer spend.
+        """
+        compiled = self.compiled
+        sel = contended.nonzero()[0]
+        sel_node = compiled.class_node[sel]
+        order = sel[np.lexsort((-ratios[sel], sel_node))]
+        filled = np.zeros(sel.size, dtype=np.int64)
+        fold = (
+            memoryview(unit_cost[order]),
+            memoryview(compiled.max_consumers[order]),
+            memoryview(filled),
+        )
+        total: list[float] = []
+        start = 0
+        for end, remaining in zip(
+            np.bincount(sel_node, minlength=compiled.n_nodes).cumsum().tolist(),
+            budget.tolist(),
+        ):
+            total.append(_greedy_fill(*fold, start, end, remaining, 0.0))
+            start = end
+        populations[order] = filled
+        return total
+
+    def _fill_rows(
+        self,
+        contended: NDArray[np.bool_],
+        ratios: FloatArray,
+        unit_cost: FloatArray,
+        saturate: FloatArray,
+        budget: FloatArray,
+        populations: IntArray,
+    ) -> FloatArray:
+        """Greedy fill of every contended node, row by row on the padded
+        node x class layout of :func:`_admission_buckets`.
+
+        * One stable ``argsort`` per bucket on ``-ratio`` puts each row's
+          contended classes in the reference's order (the row lists class
+          positions in ascending order, so ties keep class-id order); every
+          other class and the padding are keyed NaN, which sorts last.
+        * A row's budget fold is ``subtract.accumulate`` over
+          ``[budget, n^max * cost, ...]`` and its spend ``add.accumulate``
+          over ``[0, n^max * cost, ...]``: over the run of classes admitted
+          at ``n^max`` these are the reference's sequential floats, so the
+          first column that does not admit at ``n^max`` is one ``argmin``
+          and its partial count ``int(budget / cost + _FLOOR_SLACK)`` an
+          array op.
+        * After that partial class a node stops once the budget cannot
+          admit one consumer of the cheapest class still ahead (a segmented
+          minimum); only a row that still can goes on, with
+          :func:`_greedy_fill` from the next column.
+
+        Writes the admitted counts into ``populations`` and returns each
+        node's consumer spend.
+        """
+        # Class-axis operands with a trailing slot for the padding sentinel.
+        # Outside the contended classes the key is NaN, which sorts last,
+        # and the cost +inf, which marks a column as not contended.
+        key = np.append(np.where(contended, -ratios, np.nan), np.nan)
+        cost = np.append(np.where(contended, unit_cost, np.inf), np.inf)
+        spend = np.append(saturate, 0.0)
+        caps = self._caps
+        max_consumers = self.compiled.max_consumers
+        slack = _FLOOR_SLACK
+        total = np.zeros(self.compiled.n_nodes)
+        for nodes, cells, base in self._buckets:
+            n_rows, width = cells.shape
+            rows = np.arange(n_rows)
+            cols = cells.take(
+                np.argsort(key[cells], axis=1, kind="stable") + base[:, None]
+            )
+            # Budget left before each column while every column before it
+            # admitted n^max.  A run ends at the first column that is not
+            # contended (contended columns come first), so the spend of
+            # later columns never counts.  Runs are short: the fold covers
+            # the first ``span`` columns, doubled until every row's run ends
+            # inside it; the all-sentinel last column ends any run.
+            span = min(_FOLD_SPAN, width)
+            while True:
+                head = cols[:, :span]
+                fold = np.empty(head.shape)
+                fold[:, 1:] = spend[head[:, :-1]]
+                fold[:, 0] = budget[nodes]
+                remaining = np.subtract.accumulate(fold, axis=1)
+                head_cost = cost[head]
+                fits = remaining / head_cost
+                fits += slack
+                full = (head_cost < np.inf) & (remaining > 0.0) & (fits >= caps[head])
+                stop = full.argmin(axis=1)
+                if span == width or not full[rows, stop].any():
+                    break
+                span = min(2 * span, width)
+            saturated = head[np.arange(span) < stop[:, None]]
+            populations[saturated] = max_consumers[saturated]
+            fold[:, 0] = 0.0
+            spent_before = np.add.accumulate(fold[:, : stop.max() + 1], axis=1)
+
+            at = head[rows, stop]
+            left = remaining[rows, stop]
+            unit = head_cost[rows, stop]
+            partial = (unit < np.inf) & (left > 0.0)
+            count = np.where(partial, fits[rows, stop], 0.0).astype(np.int64)
+            populations[at[partial]] = count[partial]
+            paid = count * np.where(partial, unit, 0.0)
+            left = left - paid
+            total[nodes] = spent_before[rows, stop] + paid
+
+            # The cheapest cost after the stop column: one min per row over
+            # [base + stop + 1, next row's base); odd segments are unused.
+            row_cost = cost[cols]
+            ahead = np.minimum(stop + 1, width - 1)
+            bounds = np.empty(2 * n_rows - 1, dtype=np.int64)
+            bounds[0::2] = base + ahead
+            bounds[1::2] = base[1:]
+            cheapest = np.minimum.reduceat(row_cost.ravel(), bounds)[0::2]
+            more = partial & (left > 0.0)
+            more &= left / cheapest + slack >= 1.0
+            if not more.any():
+                continue
+            flat = cols.ravel()
+            filled = np.zeros(cols.size, dtype=np.int64)
+            fold_rest = (
+                memoryview(row_cost.ravel()),
+                memoryview(caps[flat]),
+                memoryview(filled),
+            )
+            ends = base + np.count_nonzero(row_cost < np.inf, axis=1)
+            for r in more.nonzero()[0].tolist():
+                k, end = int(base[r] + ahead[r]), int(ends[r])
+                total[nodes[r]] = _greedy_fill(
+                    *fold_rest, k, end, float(left[r]), float(total[nodes[r]])
+                )
+                populations[flat[k:end]] = filled[k:end]
+        return total
 
     # -- price updates ----------------------------------------------------------
 

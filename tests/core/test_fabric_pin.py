@@ -1,11 +1,14 @@
-"""Bit-identity pin for the vectorized engine on the 1k-flow fabric leg.
+"""Bit-identity pins for the vectorized engine on the 1k-flow fabric legs.
 
 The 1024-flow, 10,100-link leaf-spine leg is the benchmark's largest
 workload.  Rewriting its hot loops (one packed sort for admission, the
-array form of eq. 13) must not move a single bit of the trajectory, so
-this test hashes 250 iterations — utility, rates, populations, node and
-link prices and node step sizes after every step — and compares the
-digest with the one the engine produced before that rewrite.
+array form of eq. 13, the row-wise admission fold) must not move a single
+bit of the trajectory, so this test hashes 250 iterations — utility,
+rates, populations, node and link prices and node step sizes after every
+step — and compares the digest with the one the engine produced before
+those rewrites.  The same leg with 64 classes per leaf and flow (262,144
+classes, ~2.6k per node) is pinned the same way over 20 iterations, with
+the digest recorded before admission became row-wise.
 
 The digest depends on numpy's float64 ``log`` and ``pow``, whose SIMD
 kernels vary with the numpy build and the CPU's AVX-512 support, so it is
@@ -38,6 +41,13 @@ PINNED_DIGESTS = {
     ("2.4.6", True): "f57f27ec9a3c1ff96f1c33abcdc099f1a9f7f63450e100bdb8bfdd9679791088",
 }
 
+#: The 262k-class leg: ~4 s to build and bind, ~25-50 ms per step.
+FABRIC_262K_SPEC = FABRIC_SPEC + ",classes_per_leaf=64"
+ITERATIONS_262K = 20
+PINNED_262K_DIGESTS = {
+    ("2.4.6", True): "48f473614448240047c5810846f9588ef061399e031a86df4152146b86eb3409",
+}
+
 
 def trajectory_digest(optimizer: LRGP, iterations: int) -> str:
     digest = hashlib.sha256()
@@ -59,12 +69,18 @@ def trajectory_digest(optimizer: LRGP, iterations: int) -> str:
     return digest.hexdigest()
 
 
-def test_fabric_1k_trajectory_is_bit_identical():
+def assert_pinned(spec: str, iterations: int, digests: dict) -> None:
     key = (np.__version__, bool(__cpu_features__.get("AVX512_SKX")))
-    expected = PINNED_DIGESTS.get(key)
+    expected = digests.get(key)
     if expected is None:
         pytest.skip(f"no trajectory digest recorded for numpy/AVX-512 {key}")
-    optimizer = LRGP(
-        workload_from_spec(FABRIC_SPEC), LRGPConfig(engine="vectorized")
-    )
-    assert trajectory_digest(optimizer, ITERATIONS) == expected
+    optimizer = LRGP(workload_from_spec(spec), LRGPConfig(engine="vectorized"))
+    assert trajectory_digest(optimizer, iterations) == expected
+
+
+def test_fabric_1k_trajectory_is_bit_identical():
+    assert_pinned(FABRIC_SPEC, ITERATIONS, PINNED_DIGESTS)
+
+
+def test_fabric_262k_trajectory_is_bit_identical():
+    assert_pinned(FABRIC_262K_SPEC, ITERATIONS_262K, PINNED_262K_DIGESTS)

@@ -1,10 +1,12 @@
 """Differential tests: vectorized admission against :func:`allocate_consumers`.
 
 The vectorized engine orders the chargeable classes of every contended
-node with one packed sort and leaves a node's greedy fill early once the
-budget cannot admit one consumer of the cheapest class still ahead.  Both
-are exact rewrites of Algorithm 2, so on any instance the engine must
-reproduce the reference's populations, ``used`` and ``BC(b,t)`` exactly.
+node with one row-wise sort over a padded node x class layout, folds each
+node's budget as a prefix accumulation, and leaves a node's greedy fill
+early once the budget cannot admit one consumer of the cheapest class
+still ahead.  All are exact rewrites of Algorithm 2, so on any instance
+the engine must reproduce the reference's populations, ``used`` and
+``BC(b,t)`` exactly.
 
 Generated rates and cost coefficients are small dyadic numbers, so every
 product and sum is exact in binary floating point: the reference's
@@ -20,10 +22,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiled import VectorizedEngine
+import repro.core.compiled as compiled_module
+from repro.core.compiled import _FOLD_SPAN, VectorizedEngine
 from repro.core.consumer_allocation import allocate_consumers
 from repro.core.lrgp import LRGPConfig
 from repro.model.costs import CostModelBuilder
@@ -296,3 +300,221 @@ class TestNegativeZeroPrices:
         assert payloads[0] == payloads[1]
         assert '"link_prices": {"' in payloads[1]
         assert "-0.0" in payloads[1]
+
+
+# -- corners of the padded node x class layout --------------------------------
+#
+# Problems with fewer than ``_ROW_FILL_MIN_NODES`` consumer nodes admit node
+# by node in Python; the instances here are small, so every check also runs
+# with that bound at 1, which sends every node through the row-wise fill.
+
+
+def admit_and_compare(spec: dict) -> VectorizedEngine:
+    """Run the engine's admission on ``spec`` and compare every node with
+    :func:`allocate_consumers`; returns the engine for further checks."""
+    problem, rates = build_instance(spec)
+    engine = VectorizedEngine(problem, LRGPConfig())
+    compiled = engine.compiled
+    engine._rates = compiled.rates_vector(rates)
+    values = np.array(
+        [
+            problem.classes[cid].utility.value(rates[problem.classes[cid].flow_id])
+            for cid in compiled.class_ids
+        ]
+    )
+    populations, used, best = engine._admit(values)
+    admitted = compiled.populations_dict(populations)
+    for b, nid in enumerate(compiled.node_ids):
+        expected = allocate_consumers(problem, nid, rates)
+        assert {cid: admitted[cid] for cid in expected.populations} == (
+            expected.populations
+        ), nid
+        assert used[b] == expected.used, nid
+        assert best[b] == expected.best_unsatisfied_ratio, nid
+    return engine
+
+
+def assert_admission_matches_reference(spec: dict) -> VectorizedEngine:
+    """:func:`admit_and_compare` node by node and then row-wise on the
+    padded layout; returns the engine of the latter."""
+    admit_and_compare(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled_module, "_ROW_FILL_MIN_NODES", 1)
+        return admit_and_compare(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=admission_specs())
+@example(spec=PARTIAL_THEN_CHEAPER)
+@example(spec=CORNERS)
+def test_row_fill_matches_reference(spec):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compiled_module, "_ROW_FILL_MIN_NODES", 1)
+        admit_and_compare(spec)
+
+
+def _uniform_node(n_classes: int, budget: float | str, cap: int = 2) -> dict:
+    """``n_classes`` cost-1 classes of one flow at rate 1 whose values fall
+    with the class index, so the fill order is the class order."""
+    return {
+        "flow_node_cost": [0.0],
+        "classes": [
+            (0, 1.0, cap, 1.0 + (n_classes - k) / 8.0, 1.0) for k in range(n_classes)
+        ],
+        "budget": budget,
+    }
+
+
+def _admitted_at_cap(spec: dict, node: str) -> int:
+    problem, rates = build_instance(spec)
+    expected = allocate_consumers(problem, node, rates)
+    return sum(
+        count == problem.classes[cid].max_consumers
+        for cid, count in expected.populations.items()
+    )
+
+
+def test_skewed_class_counts_use_several_buckets():
+    """Nodes with 1, 5, 20, 40 and 130 classes: a bucket takes nodes while
+    its cells stay within twice its classes, so the layout splits into
+    several buckets; the 130-class node's run of admissions at n^max is
+    longer than the first fold span, so the span doubles."""
+    spec = {
+        "rates": [1.0],
+        "nodes": [
+            _uniform_node(1, 0.5),
+            _uniform_node(5, 7.0),
+            _uniform_node(20, 25.5),
+            _uniform_node(40, 30.0),
+            _uniform_node(130, 201.0),
+        ],
+    }
+    engine = assert_admission_matches_reference(spec)
+    buckets = engine._buckets
+    assert len(buckets) >= 3
+    assert sum(cells.size for _, cells, _ in buckets) <= 2 * engine.compiled.n_classes
+    for nodes, cells, _ in buckets:
+        counts = np.bincount(engine.compiled.class_node)[nodes]
+        assert cells.shape == (nodes.size, counts.max() + 1)
+        assert cells.size <= 2 * counts.sum()
+    assert sorted(np.concatenate([nodes for nodes, _, _ in buckets])) == list(range(5))
+    assert _admitted_at_cap(spec, "n4") == 100 > _FOLD_SPAN
+
+
+def test_runs_ending_at_every_fold_span_boundary():
+    """A run of admissions at n^max that ends just before, at and after
+    each doubling of the fold span (and one that takes every class)."""
+    for admitted in (15, 16, 17, 31, 32, 33, 63, 64, 65, 129, 130):
+        spec = {"rates": [1.0], "nodes": [_uniform_node(130, 2.0 * admitted + 1.0)]}
+        if admitted == 130:
+            spec["nodes"][0]["budget"] = 2.0 * 130 - 2.0**-40
+        assert_admission_matches_reference(spec)
+        assert _admitted_at_cap(spec, "n0") == admitted
+
+
+def test_budget_gone_before_any_class():
+    """Flow cost equal to and above capacity: a contended node admits no
+    consumer and reports its flow cost as used."""
+    for budget in ("zero", "starved"):
+        node = _uniform_node(6, budget)
+        node["flow_node_cost"] = [2.0]
+        assert_admission_matches_reference({"rates": [1.0], "nodes": [node]})
+
+
+def test_every_contended_class_fits_at_cap():
+    """A budget 2**-40 short of the need: the node is contended, yet the
+    flooring slack admits every class at n^max, so there is no partial
+    class and the node overspends by the shortfall, as the reference does."""
+    spec = {"rates": [1.0], "nodes": [_uniform_node(5, 10.0 - 2.0**-40)]}
+    assert_admission_matches_reference(spec)
+    problem, rates = build_instance(spec)
+    expected = allocate_consumers(problem, "n0", rates)
+    assert set(expected.populations.values()) == {2}
+    assert expected.used > problem.nodes["n0"].capacity
+
+
+def test_partial_then_cheaper_takes_the_python_continuation(monkeypatch):
+    """``PARTIAL_THEN_CHEAPER`` can still admit after its partial class, so
+    the row-wise fill hands the four classes after it to
+    :func:`_greedy_fill` with the budget the partial class left."""
+    calls = []
+    original = compiled_module._greedy_fill
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(compiled_module, "_greedy_fill", counting)
+    monkeypatch.setattr(compiled_module, "_ROW_FILL_MIN_NODES", 1)
+    admit_and_compare(PARTIAL_THEN_CHEAPER)
+    assert len(calls) == 1
+    cost, caps, counts, k, end, remaining, total = calls[0]
+    assert cost[k:end].tolist() == [3.0, 3.0, 3.0, 1.0]
+    assert (remaining, total) == (2.0, 8.0)
+
+
+def test_ties_across_flows():
+    """Classes of different flows with bit-equal ratios (value log 4 at
+    unit cost 1 on both flows) straddle the partial class, so only the
+    class-id tie break decides who is admitted."""
+    tied = [(0, 1.0, 2, 1.0, 3.0), (1, 0.5, 2, 1.0, 2.0)]
+    spec = {
+        "rates": [1.0, 2.0],
+        "nodes": [
+            {
+                "flow_node_cost": [0.0, 0.0],
+                "classes": tied * 3 + [(0, 1.0, 2, 0.5, 3.0)],
+                "budget": 5.0,
+            }
+        ],
+    }
+    problem, rates = build_instance(spec)
+    ratios = allocate_consumers(problem, "n0", rates).ratios
+    assert len({ratios[cid] for cid in ratios if cid != "c006"}) == 1
+    assert_admission_matches_reference(spec)
+
+
+def test_ties_across_a_wide_row():
+    """120 classes of two flows, all with the same ratio, and a budget that
+    runs out at the 41st: sorts of rows this wide are where an unstable
+    sort would reorder ties."""
+    tied = [(0, 1.0, 2, 1.0, 3.0), (1, 0.5, 2, 1.0, 2.0)]
+    spec = {
+        "rates": [1.0, 2.0],
+        "nodes": [{"flow_node_cost": [0.0, 0.0], "classes": tied * 60, "budget": 81.0}],
+    }
+    engine = assert_admission_matches_reference(spec)
+    populations = engine.compiled.populations_dict(
+        engine._admit(engine.compiled.class_values(engine._rates))[0]
+    )
+    assert [populations[cid] for cid in sorted(populations)][39:42] == [2, 1, 0]
+
+
+def test_free_and_worthless_classes_in_a_contended_node():
+    """Zero-cost classes (useful: ratio +inf; worthless: ratio 0) and
+    chargeable classes of value 0 and below mixed into a contended node."""
+    spec = {
+        "rates": [0.5, 0.0, 2.0],
+        "nodes": [
+            {
+                "flow_node_cost": [1.0, 0.0, 0.0],
+                "classes": [
+                    (0, 2.0, 3, 1.0, 0.5),  # value log(1) = 0
+                    (1, 2.0, 4, 1.0, 3.0),  # rate 0: free, useful
+                    (0, 0.0, 2, 1.0, 1.0),  # zero cost: free, useful
+                    (0, 1.0, 3, 2.0, 3.0),
+                    (1, 1.0, 2, 1.0, 0.25),  # rate 0: free, value < 0
+                    (2, 1.0, 3, 1.0, 1.0),
+                    (0, 2.0, 2, 1.0, 0.25),  # value log(0.75) < 0
+                    (2, 0.5, 5, 0.5, 1.0),
+                ],
+                "budget": 4.5,
+            }
+        ],
+    }
+    assert_admission_matches_reference(spec)
+    problem, rates = build_instance(spec)
+    expected = allocate_consumers(problem, "n0", rates)
+    assert 0.0 in expected.ratios.values()
+    assert math.inf in expected.ratios.values()
+    assert any(count == 0 for count in expected.populations.values())
